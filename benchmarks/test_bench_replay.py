@@ -12,19 +12,17 @@ scale, relaxed floor) so the vectorized path is exercised on every push.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro.campaign.spec import Job
 from repro.campaign.worker import build_backend, simulate_job
 from repro.compression.stats import geometric_mean
-from repro.obs.metrics import measure_peak_mib
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory_controller import MemoryController
 from repro.gpu.simulator import GPUSimulator
 from repro.replay import replay_trace, replay_trace_scalar
-from repro.utils.blocks import array_to_blocks
+from repro.utils.blocks import block_matrix
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
 QUICK_WORKLOADS = ("NN", "FWT", "DCT")
@@ -38,10 +36,6 @@ FULL_SPEEDUP_FLOOR = 5.0
 QUICK_SPEEDUP_FLOOR = 2.0
 #: end-to-end acceptance target on a memory-heavy job (full mode)
 FULL_END_TO_END_FLOOR = 2.0
-#: chunk budgets (compiled RLE entries) for the bounded-memory replay bench —
-#: small enough that the full-mode trace spans many chunks
-FULL_CHUNK_ACCESSES = 128
-QUICK_CHUNK_ACCESSES = 32
 
 
 class _ReplayContext:
@@ -64,7 +58,7 @@ class _ReplayContext:
         self.all_regions = dict(self.input_regions)
         self.all_regions.update(workload.output_regions(exact))
         self.region_blocks = {
-            name: array_to_blocks(region.array, self.config.block_size_bytes)
+            name: block_matrix(region.array, self.config.block_size_bytes)
             for name, region in self.all_regions.items()
         }
         self.base_addresses = simulator._layout(self.all_regions, self.region_blocks)
@@ -73,6 +67,7 @@ class _ReplayContext:
             self.all_regions, block_size_bytes=self.config.block_size_bytes
         )
         self.interleave = simulator.CHANNEL_INTERLEAVE_BLOCKS
+        self.simulator = simulator
 
     def fresh_state(self) -> tuple[SetAssociativeCache, list[MemoryController]]:
         config = self.config
@@ -85,16 +80,10 @@ class _ReplayContext:
             )
             for i in range(config.num_memory_controllers)
         ]
-        for name, region in self.input_regions.items():
-            base = self.base_addresses[name]
-            stored_blocks = self.backend.store_batch(
-                self.region_blocks[name], approximable=region.approximable
-            )
-            for index, stored in enumerate(stored_blocks):
-                address = base + index
-                controllers[(address // self.interleave) % len(controllers)].record_stored(
-                    address, stored, count_traffic=False
-                )
+        self.simulator._store_inputs(
+            self.backend, controllers, self.input_regions, self.region_blocks,
+            self.base_addresses,
+        )
         l2 = SetAssociativeCache(
             size_bytes=config.l2_cache_kb * 1024,
             line_bytes=config.l2_line_bytes,
@@ -163,58 +152,6 @@ def test_bench_replay_phase_speedup(benchmark, replay_quick, bench_record):
     )
 
     assert gm >= floor, f"vectorized replay only {gm:.1f}x over scalar (floor {floor}x)"
-
-
-def test_bench_replay_chunked_peak_memory(replay_quick, bench_record):
-    """Chunked replay must bound the replay working set without changing
-    a single counter.
-
-    Peak is tracemalloc over the replay call only (machine state is built
-    before measurement starts), so it captures exactly what chunking
-    bounds: the compiled trace arrays and the per-window scratch.
-    """
-    scale = QUICK_SCALE if replay_quick else FULL_SCALE
-    chunk = QUICK_CHUNK_ACCESSES if replay_quick else FULL_CHUNK_ACCESSES
-    context = _ReplayContext("TP", scale)
-
-    def run(chunk_accesses):
-        l2, controllers = context.fresh_state()
-        _, peak = measure_peak_mib(
-            replay_trace,
-            context.trace,
-            all_regions=context.all_regions,
-            region_blocks=context.region_blocks,
-            base_addresses=context.base_addresses,
-            l2=l2,
-            controllers=controllers,
-            interleave_blocks=context.interleave,
-            chunk_accesses=chunk_accesses,
-        )
-        counters = {
-            "l2": dataclasses.asdict(l2.stats),
-            "controllers": [dataclasses.asdict(c.stats) for c in controllers],
-        }
-        return peak, counters
-
-    whole_peak, whole_counters = run(None)
-    chunked_peak, chunked_counters = run(chunk)
-    assert chunked_counters == whole_counters, (
-        "chunked replay changed counters — chunking must be invisible"
-    )
-    print(
-        f"\nchunked replay peak (TP, {len(context.trace)} compiled-entry trace, "
-        f"chunk {chunk}): unchunked {whole_peak:.2f} MiB, "
-        f"chunked {chunked_peak:.2f} MiB"
-    )
-    bench_record(
-        f"replay_peak_mib{'_quick' if replay_quick else ''}",
-        chunked_peak, unit="MiB", higher_is_better=False, gate=False,
-    )
-    if not replay_quick:
-        # The full-mode trace spans many chunks, so the bounded working set
-        # must come in visibly below the whole-trace compile.
-        assert len(context.trace) > 4 * chunk
-        assert chunked_peak < whole_peak
 
 
 def test_bench_replay_end_to_end_job(replay_quick, bench_record):

@@ -89,37 +89,11 @@ def build_backend(
     )
 
 
-def default_chunk_accesses() -> int | None:
-    """The replay chunk budget from ``REPRO_CHUNK_ACCESSES`` (unset → None).
-
-    Campaign pool workers and distributed workers inherit the environment,
-    so a single variable bounds replay memory for a whole fleet without
-    plumbing through job hashes (chunking never changes results, so it must
-    not participate in result identity).  A malformed or non-positive value
-    raises rather than silently running unbounded.
-    """
-    raw = os.environ.get("REPRO_CHUNK_ACCESSES", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_CHUNK_ACCESSES must be a positive integer, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_CHUNK_ACCESSES must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 def simulate_job(
     job: Job,
     batch_store: bool = True,
     replay_mode: str = "vectorized",
     batch_codec: bool = True,
-    chunk_accesses: int | None = None,
     payload_digest: bool = False,
 ) -> SimulationResult:
     """Run one job to completion and return its simulation result.
@@ -138,23 +112,15 @@ def simulate_job(
             payload codec (:mod:`repro.kernels.codec`) instead of per-block
             ``apply_decision`` calls.  Results are identical either way; the
             codec microbenchmark flips this off to measure the scalar path.
-        chunk_accesses: bounded-memory replay chunk budget (compiled RLE
-            entries per window; see :class:`GPUSimulator`).  ``None`` falls
-            back to the ``REPRO_CHUNK_ACCESSES`` environment variable, which
-            is how ``--chunk-accesses`` reaches pool and distributed
-            workers.  Results are identical either way.
         payload_digest: record ``extra_metrics["payload_sha256"]`` over the
             final stored state (see :class:`GPUSimulator`); used by the
             golden-result regression suite.
     """
     config = overrides_to_config(job.config_overrides)
-    if chunk_accesses is None:
-        chunk_accesses = default_chunk_accesses()
     simulator = GPUSimulator(
         config=config,
         batch_store=batch_store,
         replay_mode=replay_mode,
-        chunk_accesses=chunk_accesses,
         payload_digest=payload_digest,
     )
     kwargs: dict = {"seed": job.seed}

@@ -124,7 +124,8 @@ class BlockCompressor(ABC):
     def compressed_size_bits_batch(self, blocks: list[bytes]) -> np.ndarray:
         """Compressed sizes of many blocks at once, as an int64 array of bits.
 
-        The default loops :meth:`compress` per block, so *every* compressor
+        ``blocks`` is a list of blocks or an ``(n, block_size_bytes)`` uint8
+        block matrix.  The default loops :meth:`compress` per block, so *every* compressor
         supports the batched store path.  Compressors with vectorized
         size-analysis kernels (BDI/FPC/C-Pack/BPC via
         :mod:`repro.kernels.lossless`, E2MC via its LUT kernels) override
@@ -132,7 +133,7 @@ class BlockCompressor(ABC):
         against this scalar loop.
         """
         return np.asarray(
-            [self.compress(block).compressed_size_bits for block in blocks],
+            [self.compress(as_block_bytes(block)).compressed_size_bits for block in blocks],
             dtype=np.int64,
         )
 

@@ -92,6 +92,35 @@ class MetadataCache:
         self._entries.move_to_end(block_address)
         self.stats.updates += 1
 
+    def update_many(self, block_addresses, bursts) -> None:
+        """:meth:`update` every ``(address, bursts)`` pair, in order.
+
+        A stream of distinct addresses none of which is resident — a
+        host-to-device copy — is applied in one step: the entries end up as
+        the most recent ``capacity_entries`` of the old entries followed by
+        the new ones, and every insertion into a full cache counts one
+        eviction.  Any other stream goes through :meth:`update` per pair.
+        """
+        addresses = [int(a) for a in block_addresses]
+        values = [int(b) for b in bursts]
+        fresh = len(set(addresses)) == len(addresses) and not any(
+            address in self._entries for address in addresses
+        )
+        if not fresh:
+            for address, value in zip(addresses, values):
+                self.update(address, value)
+            return
+        if values and not 1 <= min(values) <= max(values) <= self.max_bursts:
+            raise ValueError(f"burst count must be 1..{self.max_bursts}")
+        evictions = max(0, len(self._entries) + len(addresses) - self.capacity_entries)
+        evicted_old = min(evictions, len(self._entries))
+        for _ in range(evicted_old):
+            self._entries.popitem(last=False)
+        skip = evictions - evicted_old
+        self._entries.update(zip(addresses[skip:], values[skip:]))
+        self.stats.evictions += evictions
+        self.stats.updates += len(addresses)
+
     def bursts_to_fetch(self, block_address: int) -> int:
         """Burst count to use for a read: the MDC entry, or the worst case on a miss."""
         stored = self.lookup(block_address)

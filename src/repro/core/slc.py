@@ -458,8 +458,6 @@ class SLCCompressor:
             unchanged, lossy blocks with their truncated symbols zero-filled
             (TSLC-SIMP) or predicted (TSLC-PRED/OPT).
         """
-        from repro.kernels.codec import reconstruct_rows
-
         view = self.symbol_view(blocks)
         if view is None:
             from repro.kernels.decision import BatchDecisions
@@ -475,24 +473,45 @@ class SLCCompressor:
                 self.apply_decision(block, decision)
                 for block, decision in zip(blocks, decisions)
             ]
+        data = [view.block_bytes(i) for i in range(view.n_blocks)]
+        lossy = self._decision_arrays(decisions)[0]
+        for row, block in zip(np.nonzero(lossy)[0].tolist(),
+                              self.degraded_rows(view, decisions)):
+            data[row] = block.tobytes()
+        return data
+
+    def degraded_rows(self, view, decisions) -> np.ndarray:
+        """What reads of the lossy blocks of ``view`` return, in block order.
+
+        Args:
+            view: the blocks as a :class:`~repro.kernels.symbols.BatchSymbolView`.
+            decisions: matching per-block decisions (either form accepted
+                by :meth:`apply_decision_batch`).
+
+        Returns:
+            A ``(n_lossy, block_size_bytes)`` uint8 matrix: each lossy
+            block with its truncated symbols zero-filled (TSLC-SIMP) or
+            predicted (TSLC-PRED/OPT), row for row equal to
+            :meth:`apply_decision`.
+        """
+        from repro.kernels.codec import reconstruct_rows
+
         lossy, start, count = self._decision_arrays(decisions)
         if len(lossy) != view.n_blocks:
             raise CompressionError(
                 f"got {len(lossy)} decisions for {view.n_blocks} blocks"
             )
-        data = [view.block_bytes(i) for i in range(view.n_blocks)]
         rows = np.nonzero(lossy)[0]
-        if rows.size:
-            degraded = reconstruct_rows(
-                view.symbols[rows],
-                start[rows],
-                count[rows],
-                use_prediction=self.config.uses_prediction,
-                element_symbols=self.config.element_symbols,
-            )
-            for index, row in enumerate(rows.tolist()):
-                data[row] = degraded[index].tobytes()
-        return data
+        if not rows.size:
+            return np.zeros((0, view.block_size_bytes), np.uint8)
+        degraded = reconstruct_rows(
+            view.symbols[rows],
+            start[rows],
+            count[rows],
+            use_prediction=self.config.uses_prediction,
+            element_symbols=self.config.element_symbols,
+        )
+        return np.ascontiguousarray(degraded).view(np.uint8)
 
     def compress_batch(self, blocks, approximable: bool = True) -> list[SLCBlock]:
         """Batched :meth:`compress`: encoded payloads for a whole region.

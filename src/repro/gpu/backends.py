@@ -3,8 +3,10 @@
 The memory controller does not care whether blocks are stored raw, losslessly
 compressed or selectively-lossily compressed; it only needs, per block, the
 number of MAG bursts to fetch, the bits actually stored and the data that a
-subsequent read returns.  A :class:`CompressionBackend` provides exactly that
-for three families:
+subsequent read returns.  A :class:`CompressionBackend` provides exactly that,
+one block at a time (:meth:`~CompressionBackend.store`, the n = 1 reference)
+or for a whole block matrix at once (:meth:`~CompressionBackend.store_batch`,
+a :class:`StoredBatch` of per-block columns), for three families:
 
 * :class:`NoCompressionBackend` — the uncompressed baseline,
 * :class:`LosslessBackend` — any :class:`~repro.compression.base.BlockCompressor`
@@ -26,6 +28,11 @@ from repro.compression.stats import bursts_for_size
 from repro.core.config import SLCMode
 from repro.core.slc import SLCCompressor
 from repro.obs import metrics
+from repro.utils.blocks import as_block_matrix
+
+#: blocks per kernel pass of :meth:`SLCBackend.store_batch`; bounds
+#: the analysis and payload-codec intermediates whatever the region size
+STORE_SLICE_ROWS = 32768
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,54 @@ class StoredBlock:
     data: bytes
     #: whether symbols were approximated
     lossy: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class StoredBatch:
+    """Struct-of-arrays result of :meth:`CompressionBackend.store_batch`.
+
+    Entry ``i`` of every column describes block ``i`` of the batch.  Only
+    lossy blocks carry data of their own (:attr:`degraded`); every other
+    block reads back exactly as written.  Iterating yields the n = 1 view:
+    one :class:`StoredBlock` per block, equal to what
+    :meth:`CompressionBackend.store` returns for it.
+    """
+
+    #: MAG bursts needed to read each block back (int64)
+    bursts: np.ndarray
+    #: bits actually stored per block (int64)
+    stored_bits: np.ndarray
+    #: whether each block's symbols were approximated (bool)
+    lossy: np.ndarray
+    #: ``(lossy.sum(), block_size)`` uint8: what reads of the lossy blocks
+    #: return, in block order
+    degraded: np.ndarray
+    #: ``(n, block_size)`` uint8: the blocks as written
+    blocks: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.bursts.shape[0])
+
+    def __iter__(self):
+        degraded = iter(self.degraded)
+        for block, bursts, stored_bits, lossy in zip(
+            self.blocks, self.bursts.tolist(), self.stored_bits.tolist(),
+            self.lossy.tolist(),
+        ):
+            data = next(degraded) if lossy else block
+            yield StoredBlock(bursts, stored_bits, data.tobytes(), lossy)
+
+
+def _columns(stored: list[StoredBlock], block_size_bytes: int) -> tuple:
+    """``(bursts, stored_bits, lossy, degraded)`` columns of per-block results."""
+    n = len(stored)
+    degraded = [np.frombuffer(block.data, np.uint8) for block in stored if block.lossy]
+    return (
+        np.fromiter((block.bursts for block in stored), np.int64, n),
+        np.fromiter((block.stored_bits for block in stored), np.int64, n),
+        np.fromiter((block.lossy for block in stored), np.bool_, n),
+        np.stack(degraded) if degraded else np.zeros((0, block_size_bytes), np.uint8),
+    )
 
 
 class CompressionBackend(ABC):
@@ -63,16 +118,17 @@ class CompressionBackend(ABC):
     def store(self, block: bytes, approximable: bool = True) -> StoredBlock:
         """Decide how a block is stored and what a read of it returns."""
 
-    def store_batch(
-        self, blocks: list[bytes], approximable: bool = True
-    ) -> list[StoredBlock]:
-        """Batched :meth:`store` over all blocks of a region.
+    def store_batch(self, blocks, approximable: bool = True) -> StoredBatch:
+        """Batched :meth:`store` over a block matrix (or a list of blocks).
 
-        The default simply loops; backends with vectorized analysis kernels
-        (E2MC, SLC) override it.  Results are identical to calling
-        :meth:`store` per block, in order.
+        Every block's entry equals what :meth:`store` returns for it, and
+        the backend's own counters advance exactly as per-block calls would
+        advance them.  The default calls :meth:`store` per block; backends
+        with vectorized kernels override it.
         """
-        return [self.store(block, approximable=approximable) for block in blocks]
+        matrix = as_block_matrix(blocks, self.block_size_bytes)
+        stored = [self.store(row.tobytes(), approximable=approximable) for row in matrix]
+        return StoredBatch(*_columns(stored, self.block_size_bytes), blocks=matrix)
 
     @property
     def compress_latency_cycles(self) -> int:
@@ -141,9 +197,7 @@ class LosslessBackend(CompressionBackend):
         compressed = self.compressor.compress(block)
         return self._stored(block, compressed.compressed_size_bits)
 
-    def store_batch(
-        self, blocks: list[bytes], approximable: bool = True
-    ) -> list[StoredBlock]:
+    def store_batch(self, blocks, approximable: bool = True) -> StoredBatch:
         """Batched stores through the compressor's batched size analysis.
 
         Every :class:`~repro.compression.base.BlockCompressor` provides
@@ -153,12 +207,22 @@ class LosslessBackend(CompressionBackend):
         else — so the dispatch needs no per-scheme special case and matches
         :meth:`store` exactly.
         """
-        return [
-            self._stored(block, size_bits)
-            for block, size_bits in zip(
-                blocks, self.compressor.analyze_batch(blocks).tolist()
-            )
-        ]
+        matrix = as_block_matrix(blocks, self.block_size_bytes)
+        size_bits = np.asarray(self.compressor.analyze_batch(matrix), dtype=np.int64)
+        stored_bytes = np.minimum((size_bits + 7) // 8, self.block_size_bytes)
+        bursts = np.minimum(
+            self.max_bursts, np.maximum(1, -(-stored_bytes // self.mag_bytes))
+        )
+        if metrics.enabled():
+            metrics.inc("backend.blocks_compressed", int(size_bits.shape[0]))
+            metrics.inc("codec.stored_bits", int(size_bits.sum()))
+        return StoredBatch(
+            bursts=bursts,
+            stored_bits=size_bits,
+            lossy=np.zeros(size_bits.shape[0], np.bool_),
+            degraded=np.zeros((0, self.block_size_bytes), np.uint8),
+            blocks=matrix,
+        )
 
     def _stored(self, block: bytes, size_bits: int) -> StoredBlock:
         stored_bytes = min((size_bits + 7) // 8, self.block_size_bytes)
@@ -220,30 +284,55 @@ class SLCBackend(CompressionBackend):
         decision = self.slc.analyze(block, approximable=approximable)
         return self._record(block, decision)
 
-    def store_batch(
-        self, blocks: list[bytes], approximable: bool = True
-    ) -> list[StoredBlock]:
+    def store_batch(self, blocks, approximable: bool = True) -> StoredBatch:
         """Batched stores: vectorized Fig. 4 decision + batched payload codec.
 
-        The decision arrays come from :meth:`SLCCompressor.analyze_batch_arrays`
-        and the degraded data of every lossy block from one vectorized
-        truncation/prediction pass, so no per-block Python codec work
-        remains.  Per-block results and the backend's own counters are
-        identical to calling :meth:`store` per block, in order (the scalar
-        path stays available as the oracle via ``batch_codec=False``).
+        The blocks are processed in slices of at most
+        :data:`STORE_SLICE_ROWS`, so the kernels' intermediates stay
+        bounded whatever the region size; the slices' columns are
+        concatenated.
         """
-        view = self.slc.symbol_view(blocks)
+        matrix = as_block_matrix(blocks, self.block_size_bytes)
+        parts = [
+            self._store_slice(matrix[start:start + STORE_SLICE_ROWS], approximable)
+            for start in range(0, matrix.shape[0], STORE_SLICE_ROWS)
+        ]
+        if len(parts) == 1:
+            columns = parts[0]
+        elif parts:
+            columns = [np.concatenate(column) for column in zip(*parts)]
+        else:
+            columns = _columns([], self.block_size_bytes)
+        return StoredBatch(*columns, blocks=matrix)
+
+    def _store_slice(self, rows: np.ndarray, approximable: bool) -> tuple:
+        """``(bursts, stored_bits, lossy, degraded)`` columns of one slice.
+
+        The decision arrays come from :meth:`SLCCompressor.analyze_batch_arrays`
+        and the degraded data of the lossy blocks from one vectorized
+        truncation/prediction pass, so no per-block Python codec work
+        remains.  With ``batch_codec=False`` the decisions are materialized
+        and each block goes through the scalar payload path instead; other
+        geometries fall back to per-block :meth:`store`.
+        """
+        view = self.slc.symbol_view(rows)
         if view is None:
-            return [self.store(block, approximable=approximable) for block in blocks]
+            return _columns(
+                [self.store(row.tobytes(), approximable=approximable) for row in rows],
+                self.block_size_bytes,
+            )
         if not self.batch_codec:
             decisions = self.slc.analyze_batch(view, approximable=approximable)
-            return [
-                self._record(block, decision)
-                for block, decision in zip(view, decisions)
-            ]
+            return _columns(
+                [
+                    self._record(block, decision)
+                    for block, decision in zip(view, decisions)
+                ],
+                self.block_size_bytes,
+            )
         codec_start = time.perf_counter() if metrics.enabled() else 0.0
         decisions = self.slc.analyze_batch_arrays(view, approximable=approximable)
-        data = self.slc.apply_decision_batch(view, decisions)
+        degraded = self.slc.degraded_rows(view, decisions)
         lossy = decisions.lossy_mask
         self.total_blocks += len(decisions)
         self.lossy_blocks += int(lossy.sum())
@@ -256,20 +345,12 @@ class SLCBackend(CompressionBackend):
             metrics.inc("codec.stored_bits", int(decisions.stored_size_bits.sum()))
             metrics.inc("backend.blocks_compressed", len(decisions))
             metrics.inc("backend.lossy_blocks", int(lossy.sum()))
-        return [
-            StoredBlock(
-                bursts=bursts,
-                stored_bits=stored_bits,
-                data=block_data,
-                lossy=block_lossy,
-            )
-            for bursts, stored_bits, block_data, block_lossy in zip(
-                decisions.bursts.tolist(),
-                decisions.stored_size_bits.tolist(),
-                data,
-                lossy.tolist(),
-            )
-        ]
+        return (
+            decisions.bursts.astype(np.int64, copy=False),
+            decisions.stored_size_bits.astype(np.int64, copy=False),
+            lossy,
+            degraded,
+        )
 
     def _record(self, block: bytes, decision) -> StoredBlock:
         data = self.slc.apply_decision(block, decision)

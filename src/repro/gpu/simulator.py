@@ -26,7 +26,7 @@ from repro.obs import metrics
 from repro.obs.tracing import span
 from repro.replay.engine import replay_trace
 from repro.replay.reference import replay_trace_scalar
-from repro.utils.blocks import array_to_blocks, blocks_to_array
+from repro.utils.blocks import array_to_blocks, block_matrix, blocks_to_array
 from repro.utils.sampling import sample_evenly
 from repro.workloads.base import Region, Workload, WorkloadOutput
 
@@ -182,14 +182,6 @@ class GPUSimulator:
             batched miss-path accounting.  ``"scalar"`` runs the original
             per-access loop.  Results are bit-identical; the scalar mode
             exists as the reference oracle and for benchmarking.
-        chunk_accesses: with the vectorized engine, replay the compiled
-            trace in bounded windows of at most this many compiled (RLE)
-            entries, threading L2/MDC/DRAM/storage state across chunk
-            boundaries — same counters and payloads bit-exactly, peak
-            memory O(chunk) instead of O(trace), which is what lets
-            scale=1 runs fit a configured budget.  ``None`` (the default)
-            replays the whole compiled trace in one pass; the scalar
-            replay mode is inherently streaming and ignores it.
         payload_digest: record a SHA-256 digest of the final stored state —
             every stored block's address, burst count, stored bits, lossy
             flag and (possibly degraded) data bytes, in address order — as
@@ -212,7 +204,6 @@ class GPUSimulator:
         train_samples: int = 1024,
         batch_store: bool = True,
         replay_mode: str = "vectorized",
-        chunk_accesses: int | None = None,
         payload_digest: bool = False,
     ) -> None:
         self.config = config or GPUConfig()
@@ -226,13 +217,10 @@ class GPUSimulator:
             raise ValueError(
                 f"replay_mode must be one of {self.REPLAY_MODES}, got {replay_mode!r}"
             )
-        if chunk_accesses is not None and chunk_accesses <= 0:
-            raise ValueError("chunk_accesses must be positive")
         self.overlap_penalty = overlap_penalty
         self.train_samples = train_samples
         self.batch_store = batch_store
         self.replay_mode = replay_mode
-        self.chunk_accesses = chunk_accesses
         self.payload_digest = payload_digest
 
     # ------------------------------------------------------------------ #
@@ -254,9 +242,16 @@ class GPUSimulator:
             all_regions.update(workload.output_regions(exact_outputs))
 
             region_blocks = {
-                name: array_to_blocks(region.array, block_size)
+                name: block_matrix(region.array, block_size)
                 for name, region in all_regions.items()
             }
+            # One copy of each region's bytes: where the split had to copy
+            # (a padded tail block), the region array now views the copy.
+            for name, region in all_regions.items():
+                region.array = blocks_to_array(
+                    region_blocks[name], region.array.dtype, region.array.shape,
+                    block_size=block_size,
+                )
             base_addresses = self._layout(all_regions, region_blocks)
 
         with span("sim.train", cat="sim", workload=workload.name):
@@ -279,23 +274,17 @@ class GPUSimulator:
 
         # Host-to-device copy: every input region is compressed and stored.
         # This traffic happens before the kernel and is not charged to it.
-        # With batch_store the backend analyzes each region's blocks in one
-        # vectorized call; the per-block loop only dispatches the results to
-        # the interleaved controllers.
         with span("sim.h2d_store", cat="sim", workload=workload.name,
                   batch=self.batch_store):
-            for name, region in input_regions.items():
-                base = base_addresses[name]
-                if self.batch_store:
-                    stored_blocks = backend.store_batch(
-                        region_blocks[name], approximable=region.approximable
-                    )
-                    for index, stored in enumerate(stored_blocks):
-                        self._controller(controllers, base + index).record_stored(
-                            base + index, stored, count_traffic=False
-                        )
-                else:
-                    for index, block in enumerate(region_blocks[name]):
+            if self.batch_store:
+                self._store_inputs(
+                    backend, controllers, input_regions, region_blocks, base_addresses
+                )
+            else:
+                for name, region in input_regions.items():
+                    base = base_addresses[name]
+                    blocks = array_to_blocks(region.array, block_size)
+                    for index, block in enumerate(blocks):
                         self._controller(controllers, base + index).store_block(
                             base + index,
                             block,
@@ -309,31 +298,25 @@ class GPUSimulator:
         # trace replay dominates sweep time.
         with span("sim.trace_build", cat="sim", workload=workload.name):
             trace = workload.trace(all_regions, block_size_bytes=block_size)
-        replay_kwargs = dict(
-            all_regions=all_regions,
-            region_blocks=region_blocks,
-            base_addresses=base_addresses,
-            l2=l2,
-            controllers=controllers,
-            interleave_blocks=self.CHANNEL_INTERLEAVE_BLOCKS,
-        )
-        if self.replay_mode == "vectorized":
-            replay = replay_trace
-            replay_kwargs["chunk_accesses"] = self.chunk_accesses
-        else:
-            # The scalar loop streams one access at a time already — a chunk
-            # budget is meaningless there, so it is silently ignored.
-            replay = replay_trace_scalar
+        replay = replay_trace if self.replay_mode == "vectorized" else replay_trace_scalar
         with span("sim.replay", cat="sim", workload=workload.name,
                   mode=self.replay_mode, accesses=len(trace)):
-            replay(trace, **replay_kwargs)
+            replay(
+                trace,
+                all_regions=all_regions,
+                region_blocks=region_blocks,
+                base_addresses=base_addresses,
+                l2=l2,
+                controllers=controllers,
+                interleave_blocks=self.CHANNEL_INTERLEAVE_BLOCKS,
+            )
 
         error_percent = 0.0
         fidelity: dict[str, float] = {}
         if compute_error:
             with span("sim.error", cat="sim", workload=workload.name):
                 degraded = self._degraded_inputs(
-                    workload, input_regions, region_blocks, base_addresses, controllers
+                    input_regions, region_blocks, base_addresses, controllers
                 )
                 approx_outputs = workload.run(degraded)
                 error_percent = workload.error(exact_outputs, approx_outputs)
@@ -350,7 +333,7 @@ class GPUSimulator:
     def _layout(
         self,
         regions: dict[str, Region],
-        region_blocks: dict[str, list[bytes]],
+        region_blocks: dict[str, np.ndarray],
     ) -> dict[str, int]:
         """Assign each region a base block address in a flat address space."""
         base_addresses: dict[str, int] = {}
@@ -376,44 +359,85 @@ class GPUSimulator:
         self,
         backend: CompressionBackend,
         input_regions: dict[str, Region],
-        region_blocks: dict[str, list[bytes]],
+        region_blocks: dict[str, np.ndarray],
     ) -> None:
         """Sample input blocks to train the backend's probability model.
 
-        The heavy part of training — counting 16-bit symbols over the sampled
-        bytes — runs as one ``np.bincount`` inside the symbol model
-        (:meth:`repro.compression.e2mc.SymbolModel.fit`) rather than a
-        per-block ``Counter`` update.
+        The samples are spread evenly over the input blocks in address
+        order.  The heavy part of training — counting 16-bit symbols over
+        the sampled bytes — runs as one ``np.bincount`` inside the symbol
+        model (:meth:`repro.compression.e2mc.SymbolModel.fit`).
         """
-        all_blocks: list[bytes] = []
-        for name in input_regions:
-            all_blocks.extend(region_blocks[name])
-        samples = sample_evenly(all_blocks, self.train_samples)
-        if samples:
-            backend.train(samples)
+        matrices = [region_blocks[name] for name in input_regions]
+        ends = np.cumsum([matrix.shape[0] for matrix in matrices])
+        total = int(ends[-1]) if matrices else 0
+        if not total:
+            return
+        picks = np.asarray(sample_evenly(range(total), self.train_samples))
+        owner = np.searchsorted(ends, picks, side="right")
+        starts = ends - [matrix.shape[0] for matrix in matrices]
+        backend.train([
+            matrices[region][pick - starts[region]].tobytes()
+            for region, pick in zip(owner.tolist(), picks.tolist())
+        ])
+
+    def _store_inputs(
+        self,
+        backend: CompressionBackend,
+        controllers: list[MemoryController],
+        input_regions: dict[str, Region],
+        region_blocks: dict[str, np.ndarray],
+        base_addresses: dict[str, int],
+    ) -> None:
+        """Host-to-device copy: one ``store_batch`` call per input region.
+
+        Each controller books its interleaved share of the region's blocks
+        in one :meth:`~MemoryController.record_stored_batch` call.
+        """
+        interleave = self.CHANNEL_INTERLEAVE_BLOCKS
+        for name, region in input_regions.items():
+            batch = backend.store_batch(
+                region_blocks[name], approximable=region.approximable
+            )
+            addresses = base_addresses[name] + np.arange(len(batch))
+            owner = (addresses // interleave) % len(controllers)
+            for c, controller in enumerate(controllers):
+                index = np.flatnonzero(owner == c)
+                if index.size:
+                    controller.record_stored_batch(addresses[index], batch, index)
 
     def _degraded_inputs(
         self,
-        workload: Workload,
         input_regions: dict[str, Region],
-        region_blocks: dict[str, list[bytes]],
+        region_blocks: dict[str, np.ndarray],
         base_addresses: dict[str, int],
         controllers: list[MemoryController],
     ) -> dict[str, np.ndarray]:
-        """Reassemble the input arrays as the kernel would read them back."""
+        """The input arrays as the kernel reads them back.
+
+        A region whose every stored block still reads as its own bytes is
+        returned as a read-only view of itself; otherwise its block matrix
+        is copied once and each controller's differing (degraded) blocks
+        are gathered into it.
+        """
         degraded: dict[str, np.ndarray] = {}
         for name, region in input_regions.items():
-            base = base_addresses[name]
-            blocks = []
-            for index, original in enumerate(region_blocks[name]):
-                stored = self._controller(controllers, base + index).stored_data(
-                    base + index
+            base, blocks = base_addresses[name], region_blocks[name]
+            readback = None
+            for controller in controllers:
+                addresses = controller.storage.foreign(base, blocks)
+                if addresses.size:
+                    if readback is None:
+                        readback = blocks.copy()
+                    readback[addresses - base] = controller.storage.gather(addresses)
+            if readback is None:
+                degraded[name] = region.array.view()
+                degraded[name].flags.writeable = False
+            else:
+                degraded[name] = blocks_to_array(
+                    readback, region.array.dtype, region.array.shape,
+                    block_size=self.config.block_size_bytes,
                 )
-                blocks.append(stored if stored is not None else original)
-            degraded[name] = blocks_to_array(
-                blocks, region.array.dtype, region.array.shape,
-                block_size=self.config.block_size_bytes,
-            )
         return degraded
 
     @staticmethod
@@ -500,9 +524,8 @@ class GPUSimulator:
             # (stored_blocks * block bits) this yields the raw compression
             # ratio of a run without re-walking the storage
             "stored_bits": sum(
-                stored.stored_bits
+                int(controller.storage.entries["stored_bits"].sum())
                 for controller in controllers
-                for _, stored in controller.stored_items()
             ),
         }
         if fidelity:
@@ -551,12 +574,13 @@ class GPUSimulator:
         codecs produced identical storage.
         """
         entries = [
-            (address, stored)
+            (address, controller.storage)
             for controller in controllers
-            for address, stored in controller.stored_items()
+            for address in controller.storage.entries["address"].tolist()
         ]
         digest = hashlib.sha256()
-        for address, stored in sorted(entries, key=lambda item: item[0]):
+        for address, storage in sorted(entries, key=lambda item: item[0]):
+            stored = storage.block(address)
             digest.update(
                 f"{address}:{stored.bursts}:{stored.stored_bits}:"
                 f"{int(stored.lossy)}:".encode()

@@ -113,6 +113,19 @@ def _get_pool(width: int) -> ThreadPoolExecutor:
     return _pool
 
 
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which inherits it without its threads.
+
+    Campaign pool workers fork from a parent that may already have sharded
+    a batch; work submitted to the inherited pool would never run.
+    """
+    global _pool, _pool_width
+    _pool, _pool_width = None, 0
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def shard_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into up to ``parts`` contiguous, near-equal slices."""
     parts = max(1, min(parts, n))

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.compression.base import CompressionError
 from repro.kernels import backend as _backend
+from repro.utils.blocks import as_block_matrix
 
 #: the (base_bytes, delta_bytes) encodings of the scalar BDI implementation,
 #: in the same trial order
@@ -68,16 +69,15 @@ def _sharded(kernel):
     return wrapper
 
 
-def _byte_matrix(blocks: list[bytes], block_size_bytes: int) -> np.ndarray:
-    """All blocks as one ``(n, block_size_bytes)`` uint8 matrix (zero-copy rows)."""
-    n = len(blocks)
-    joined = b"".join(blocks)
-    if len(joined) != n * block_size_bytes:
-        raise CompressionError(
-            f"expected {n} blocks of {block_size_bytes} bytes, "
-            f"got {len(joined)} bytes total"
-        )
-    return np.frombuffer(joined, dtype=np.uint8).reshape(n, block_size_bytes)
+def _byte_matrix(blocks, block_size_bytes: int) -> np.ndarray:
+    """All blocks as one ``(n, block_size_bytes)`` uint8 matrix.
+
+    A block matrix passes through untouched; a block list is joined.
+    """
+    try:
+        return as_block_matrix(blocks, block_size_bytes)
+    except ValueError as exc:
+        raise CompressionError(str(exc)) from exc
 
 
 def _zero_run_bits(zero_mask: np.ndarray, max_run: int, token_bits: int) -> np.ndarray:

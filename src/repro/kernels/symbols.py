@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.blocks import as_block_matrix, block_matrix
+
 #: little-endian unsigned dtypes by symbol width (matches the byte order of
 #: :func:`repro.utils.blocks.block_to_symbols`)
 SYMBOL_DTYPES = {1: np.dtype("u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
@@ -49,18 +51,15 @@ class BatchSymbolView:
                 f"block size {block_size_bytes} is not a multiple of "
                 f"symbol size {symbol_bytes}"
             )
-        if isinstance(raw, np.ndarray):
-            raw = np.ascontiguousarray(raw).tobytes()
-        else:
-            raw = bytes(raw)
-        remainder = len(raw) % block_size_bytes
-        if remainder:
-            raw = raw + b"\x00" * (block_size_bytes - remainder)
+        if not isinstance(raw, np.ndarray):
+            raw = np.frombuffer(bytes(raw), dtype=np.uint8)
         self.block_size_bytes = block_size_bytes
         self.symbol_bytes = symbol_bytes
-        flat = np.frombuffer(raw, dtype=SYMBOL_DTYPES[symbol_bytes])
-        self.symbols = flat.reshape(-1, block_size_bytes // symbol_bytes)
-        self._raw = raw
+        #: the blocks as an ``(n_blocks, block_size_bytes)`` uint8 matrix
+        #: (a view of ``raw`` whenever no padding is needed)
+        self.bytes = block_matrix(raw, block_size_bytes).view()
+        self.bytes.flags.writeable = False
+        self.symbols = self.bytes.view(SYMBOL_DTYPES[symbol_bytes])
 
     @classmethod
     def from_blocks(
@@ -70,12 +69,7 @@ class BatchSymbolView:
         symbol_bytes: int = 2,
     ) -> "BatchSymbolView":
         """Build a view from pre-sliced blocks (each exactly one block long)."""
-        for index, block in enumerate(blocks):
-            if len(block) != block_size_bytes:
-                raise ValueError(
-                    f"block {index} is {len(block)} bytes, expected {block_size_bytes}"
-                )
-        return cls(b"".join(blocks), block_size_bytes, symbol_bytes)
+        return cls(as_block_matrix(blocks, block_size_bytes), block_size_bytes, symbol_bytes)
 
     @classmethod
     def from_array(
@@ -107,16 +101,15 @@ class BatchSymbolView:
 
     def block_bytes(self, index: int) -> bytes:
         """Raw bytes of block ``index`` (for scalar fallbacks and reconstruction)."""
-        start = index * self.block_size_bytes
-        return self._raw[start:start + self.block_size_bytes]
+        return self.bytes[index].tobytes()
 
 
 def as_symbol_view(
-    blocks: "BatchSymbolView | list[bytes]",
+    blocks: "BatchSymbolView | np.ndarray | list[bytes]",
     block_size_bytes: int,
     symbol_bytes: int,
 ) -> BatchSymbolView:
-    """Coerce ``blocks`` (a view or a block list) into a :class:`BatchSymbolView`."""
+    """Coerce ``blocks`` (a view, a block matrix or a block list) into a view."""
     if isinstance(blocks, BatchSymbolView):
         if (blocks.block_size_bytes, blocks.symbol_bytes) != (
             block_size_bytes,
@@ -128,4 +121,4 @@ def as_symbol_view(
                 f"does not match the compressor ({block_size_bytes} B, {symbol_bytes} B)"
             )
         return blocks
-    return BatchSymbolView.from_blocks(list(blocks), block_size_bytes, symbol_bytes)
+    return BatchSymbolView.from_blocks(blocks, block_size_bytes, symbol_bytes)

@@ -17,7 +17,10 @@ compression suite standardizes on, fully vectorized:
 All functions accept array-likes of any shape (values are compared
 element-wise / as flattened samples), raise ``ValueError`` on empty inputs,
 shape mismatches and non-finite values, and are deterministic — the golden
-suite pins them bit-exactly through the simulator.
+suite pins them bit-exactly through the simulator.  Memory stays bounded
+by a few copies of one input: :func:`fidelity_panel` validates (and casts)
+each pair once, and the KS statistic probes the empirical CDFs in slices
+of :data:`KS_PROBE_ROWS` values.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
+
+#: values per probe slice of the KS statistic (bounds its intermediates)
+KS_PROBE_ROWS = 1 << 16
 
 __all__ = [
     "pearson_correlation",
@@ -61,7 +67,10 @@ def pearson_correlation(exact, approx) -> float:
     element-wise identical (undamaged data is perfectly faithful no matter
     its shape), 0.0 otherwise.
     """
-    exact_arr, approx_arr = _validated(exact, approx)
+    return _pearson(*_validated(exact, approx))
+
+
+def _pearson(exact_arr: np.ndarray, approx_arr: np.ndarray) -> float:
     exact_dev = exact_arr - exact_arr.mean()
     approx_dev = approx_arr - approx_arr.mean()
     denom = float(np.sqrt(np.dot(exact_dev, exact_dev) * np.dot(approx_dev, approx_dev)))
@@ -80,12 +89,47 @@ def ks_statistic(exact, approx) -> float:
     per-element Python loop.
     """
     exact_arr, approx_arr = _validated(exact, approx)
-    exact_sorted = np.sort(exact_arr)
-    approx_sorted = np.sort(approx_arr)
-    probe = np.concatenate([exact_sorted, approx_sorted])
-    cdf_exact = np.searchsorted(exact_sorted, probe, side="right") / exact_sorted.size
-    cdf_approx = np.searchsorted(approx_sorted, probe, side="right") / approx_sorted.size
-    return float(np.max(np.abs(cdf_exact - cdf_approx)))
+    return _ks_sorted(np.sort(exact_arr), np.sort(approx_arr))
+
+
+def _ks_sorted(exact_sorted: np.ndarray, approx_sorted: np.ndarray) -> float:
+    """KS statistic of two sorted, non-empty samples (lengths may differ).
+
+    The CDF distance is largest at one of the sample values, so both
+    samples are probed, :data:`KS_PROBE_ROWS` values at a time; each
+    probe's distance is ``|i/n - j/m|`` with ``i`` and ``j`` the counts of
+    values ``<=`` the probe in each sample.  A probe's count in its own
+    sample is read off the sorted order; only the other sample is searched.
+    """
+    n, m = exact_sorted.size, approx_sorted.size
+    distance = 0.0
+    for sample, other, own_is_exact in (
+        (exact_sorted, approx_sorted, True),
+        (approx_sorted, exact_sorted, False),
+    ):
+        for start in range(0, sample.size, KS_PROBE_ROWS):
+            stop = min(start + KS_PROBE_ROWS, sample.size)
+            own = _counts_at_or_below(sample, start, stop)
+            cross = np.searchsorted(other, sample[start:stop], side="right")
+            i, j = (own, cross) if own_is_exact else (cross, own)
+            distance = max(distance, float(np.abs(i / n - j / m).max()))
+    return distance
+
+
+def _counts_at_or_below(sorted_values: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``searchsorted(sorted_values, sorted_values[start:stop], side="right")``.
+
+    Within a sorted array, a value's count is one past the end of its run
+    of equal values: each run's last position is marked, and a reverse
+    running minimum carries it back over the run.  The run of the slice's
+    last value may continue past ``stop``, so that one count is searched.
+    """
+    probe = sorted_values[start:stop]
+    ends = np.full(stop - start, sorted_values.size, np.int64)
+    run_last = np.flatnonzero(probe[1:] != probe[:-1])
+    ends[run_last] = start + run_last + 1
+    ends[-1] = np.searchsorted(sorted_values, probe[-1], side="right")
+    return np.minimum.accumulate(ends[::-1])[::-1]
 
 
 def _iqr_scale(exact_arr: np.ndarray) -> float:
@@ -114,7 +158,10 @@ def iqr_normalized_errors(exact, approx) -> tuple[float, float]:
     across variables with different units — the property enstools relies
     on to compare compression quality across weather fields.
     """
-    exact_arr, approx_arr = _validated(exact, approx)
+    return _iqr_errors(*_validated(exact, approx))
+
+
+def _iqr_errors(exact_arr: np.ndarray, approx_arr: np.ndarray) -> tuple[float, float]:
     normalized = np.abs(exact_arr - approx_arr) / _iqr_scale(exact_arr)
     return float(normalized.mean()), float(normalized.max())
 
@@ -122,15 +169,15 @@ def iqr_normalized_errors(exact, approx) -> tuple[float, float]:
 def fidelity_panel(exact, approx) -> dict[str, float]:
     """All fidelity metrics of one exact/approx array pair.
 
-    Keys: ``pearson``, ``ks``, ``iqr_mean``, ``iqr_max``.
+    Keys: ``pearson``, ``ks``, ``iqr_mean``, ``iqr_max``.  The pair is
+    validated once and each metric's temporaries are freed before the next
+    one runs.
     """
-    iqr_mean, iqr_max = iqr_normalized_errors(exact, approx)
-    return {
-        "pearson": pearson_correlation(exact, approx),
-        "ks": ks_statistic(exact, approx),
-        "iqr_mean": iqr_mean,
-        "iqr_max": iqr_max,
-    }
+    exact_arr, approx_arr = _validated(exact, approx)
+    ks = _ks_sorted(np.sort(exact_arr), np.sort(approx_arr))
+    pearson = _pearson(exact_arr, approx_arr)
+    iqr_mean, iqr_max = _iqr_errors(exact_arr, approx_arr)
+    return {"pearson": pearson, "ks": ks, "iqr_mean": iqr_mean, "iqr_max": iqr_max}
 
 
 def fidelity_summary(

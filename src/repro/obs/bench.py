@@ -33,9 +33,8 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.memory_controller import MemoryController
 from repro.gpu.simulator import GPUSimulator
 from repro.obs import trajectory
-from repro.obs.metrics import measure_peak_mib
 from repro.replay import replay_trace, replay_trace_scalar
-from repro.utils.blocks import array_to_blocks
+from repro.utils.blocks import array_to_blocks, block_matrix
 from repro.utils.sampling import sample_evenly
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
@@ -45,7 +44,6 @@ __all__ = [
     "measure_codec_gm",
     "measure_decode_gm",
     "measure_replay_gm",
-    "measure_replay_peak_mib",
     "measure_job_seconds",
     "collect_metrics",
 ]
@@ -61,8 +59,6 @@ CODEC_MAX_BLOCKS = 384
 #: decode-measurement batch sizes (matches the benchmark suite)
 DECODE_ROWS = 8192
 QUICK_DECODE_ROWS = 2048
-#: chunk budget for the bounded-memory replay measurement
-CHUNK_ACCESSES = 128
 
 
 def _time_best(fn: Callable[[], object], repeats: int = 2) -> float:
@@ -177,7 +173,7 @@ class _ReplaySetup:
         self.all_regions = dict(self.input_regions)
         self.all_regions.update(workload.output_regions(exact))
         self.region_blocks = {
-            region_name: array_to_blocks(region.array, self.config.block_size_bytes)
+            region_name: block_matrix(region.array, self.config.block_size_bytes)
             for region_name, region in self.all_regions.items()
         }
         self.base_addresses = simulator._layout(self.all_regions, self.region_blocks)
@@ -186,6 +182,7 @@ class _ReplaySetup:
             self.all_regions, block_size_bytes=self.config.block_size_bytes
         )
         self.interleave = simulator.CHANNEL_INTERLEAVE_BLOCKS
+        self.simulator = simulator
 
     def fresh_state(self) -> tuple[SetAssociativeCache, list[MemoryController]]:
         config = self.config
@@ -198,16 +195,10 @@ class _ReplaySetup:
             )
             for i in range(config.num_memory_controllers)
         ]
-        for name, region in self.input_regions.items():
-            base = self.base_addresses[name]
-            stored_blocks = self.backend.store_batch(
-                self.region_blocks[name], approximable=region.approximable
-            )
-            for index, stored in enumerate(stored_blocks):
-                address = base + index
-                controllers[
-                    (address // self.interleave) % len(controllers)
-                ].record_stored(address, stored, count_traffic=False)
+        self.simulator._store_inputs(
+            self.backend, controllers, self.input_regions, self.region_blocks,
+            self.base_addresses,
+        )
         l2 = SetAssociativeCache(
             size_bytes=config.l2_cache_kb * 1024,
             line_bytes=config.l2_line_bytes,
@@ -242,26 +233,6 @@ def measure_replay_gm(workloads: tuple[str, ...], scale: float) -> float:
         vector_s = setup.time_replay(replay_trace)
         speedups.append(scalar_s / vector_s)
     return geometric_mean(speedups)
-
-
-def measure_replay_peak_mib(
-    scale: float, chunk_accesses: int = CHUNK_ACCESSES
-) -> float:
-    """tracemalloc peak (MiB) of one chunked replay of the TP trace."""
-    setup = _ReplaySetup("TP", scale)
-    l2, controllers = setup.fresh_state()
-    _, peak = measure_peak_mib(
-        replay_trace,
-        setup.trace,
-        all_regions=setup.all_regions,
-        region_blocks=setup.region_blocks,
-        base_addresses=setup.base_addresses,
-        l2=l2,
-        controllers=controllers,
-        interleave_blocks=setup.interleave,
-        chunk_accesses=chunk_accesses,
-    )
-    return peak
 
 
 def measure_job_seconds(scale: float = BENCH_SCALE) -> dict[str, float]:
@@ -313,11 +284,6 @@ def collect_metrics(quick: bool = True, progress=None) -> dict[str, dict]:
             workloads, n_rows=QUICK_DECODE_ROWS if quick else DECODE_ROWS
         ),
         unit="x",
-    )
-    say("measuring chunked-replay memory peak")
-    metrics[f"replay_peak_mib{suffix}"] = trajectory.metric(
-        measure_replay_peak_mib(replay_scale),
-        unit="MiB", higher_is_better=False, gate=False,
     )
     say("measuring end-to-end job times")
     for name, seconds in measure_job_seconds().items():

@@ -27,7 +27,6 @@ allocation-heavy code measurably): :func:`enable_tracemalloc`, or the
 from __future__ import annotations
 
 import os
-import sys
 import tracemalloc
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "tracemalloc_enabled",
     "start_tracemalloc",
     "stop_tracemalloc",
-    "peak_rss_mib",
-    "measure_peak_mib",
 ]
 
 _enabled: bool = False
@@ -175,50 +172,3 @@ def stop_tracemalloc() -> None:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     observe("job.tracemalloc_peak_kb", peak / 1024.0)
-
-
-# --------------------------------------------------------------------- #
-# peak-memory observability
-
-
-def peak_rss_mib() -> float:
-    """This process's high-water resident set size, in MiB.
-
-    Reads ``getrusage(RUSAGE_SELF).ru_maxrss`` — kibibytes on Linux, bytes
-    on macOS.  A process-lifetime high-water mark: it never decreases, so
-    it bounds (rather than equals) any one phase's footprint.  Returns 0.0
-    where the resource module is unavailable.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return 0.0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - ru_maxrss is in bytes
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
-
-
-def measure_peak_mib(fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)`` under tracemalloc, returning
-    ``(result, peak_mib)``.
-
-    The peak is the tracemalloc high-water mark of Python allocations made
-    *during the call* — unlike :func:`peak_rss_mib` it resets per
-    measurement, which is what the replay benchmarks need to show that
-    chunked replay bounds its working set.  If tracemalloc is already
-    tracing (e.g. ``REPRO_OBS_TRACEMALLOC``), the outer trace is left
-    running and its peak is reset rather than stopped.
-    """
-    was_tracing = tracemalloc.is_tracing()
-    if was_tracing:
-        tracemalloc.reset_peak()
-    else:
-        tracemalloc.start()
-    try:
-        result = fn(*args, **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return result, peak / (1024.0 * 1024.0)

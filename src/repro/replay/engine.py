@@ -11,20 +11,22 @@ assembled from:
    yielding the miss stream in trace order,
 3. write misses go through the backend's batched analysis kernels *and*
    batched payload codec (``store_batch``: vectorized Fig. 4 decision plus
-   one truncation/prediction pass producing every stored block's degraded
-   bytes, see :mod:`repro.kernels.codec`), grouped by the region's
+   one truncation/prediction pass producing the degraded bytes of the lossy
+   blocks, see :mod:`repro.kernels.codec`), grouped by the region's
    ``approximable`` flag,
 4. the miss stream is partitioned per memory controller
    (``CHANNEL_INTERLEAVE_BLOCKS`` interleave) and each controller's events
    run through a vectorized storage-timeline forward fill (the burst count a
    read fetches is the one recorded by the latest preceding store), the MDC
    model (:func:`~repro.replay.mdc.replay_mdc`) and the grouped DRAM
-   row-buffer scan (:func:`~repro.replay.dram.replay_dram`).
+   row-buffer scan (:func:`~repro.replay.dram.replay_dram`); the storage
+   timeline is seeded from and written back to the controller's
+   address-indexed :class:`~repro.gpu.memory_controller.BlockStore`.
 
-The mutated objects (L2, controllers, their MDCs, channels and storage, and
-the backend's own counters) end up in the same state the scalar loop leaves
-them in, so result assembly and the degraded-input error computation are
-unchanged.
+The mutated objects (L2, controllers, their MDCs, channels and block
+stores, and the backend's own counters) end up in the same state the scalar
+loop leaves them in, so result assembly and the degraded-input error
+computation are unchanged.
 """
 
 from __future__ import annotations
@@ -46,70 +48,20 @@ def replay_trace(
     trace: MemoryTrace,
     *,
     all_regions: dict[str, Region],
-    region_blocks: dict[str, list[bytes]],
+    region_blocks: dict[str, np.ndarray],
     base_addresses: dict[str, int],
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
     interleave_blocks: int,
-    chunk_accesses: int | None = None,
 ) -> None:
     """Replay the kernel's block trace at array speed.
 
     Same signature and same observable effects as
-    :func:`~repro.replay.reference.replay_trace_scalar`.
-
-    With ``chunk_accesses`` set, the compiled trace is processed in bounded
-    windows of at most that many compiled (RLE) entries, threading the L2,
-    MDC, DRAM open-row and storage-timeline state across chunk boundaries
-    through the mutable model objects themselves — every replay stage
-    composes (:func:`~repro.replay.l2.replay_l2` seeds from and writes back
-    the cache; controller storage/MDC/channel state advances in place), so
-    all counters and stored payloads are bit-identical to the unchunked
-    replay while peak memory stays O(chunk) instead of O(trace).
+    :func:`~repro.replay.reference.replay_trace_scalar`; ``region_blocks``
+    holds every region's ``(n_blocks, block_size)`` block matrix.
     """
-    if chunk_accesses is not None:
-        if chunk_accesses <= 0:
-            raise ValueError("chunk_accesses must be positive")
-        n_chunks = 0
-        for compiled in trace.compile_chunks(base_addresses, chunk_accesses):
-            n_chunks += 1
-            with span("replay.chunk", cat="replay", entries=len(compiled)):
-                _replay_compiled(
-                    compiled,
-                    all_regions=all_regions,
-                    region_blocks=region_blocks,
-                    l2=l2,
-                    controllers=controllers,
-                    interleave_blocks=interleave_blocks,
-                )
-        if metrics.enabled():
-            metrics.inc("replay.chunks", n_chunks)
-            metrics.observe("replay.peak_rss_mib", metrics.peak_rss_mib())
-        return
     with span("replay.compile", cat="replay"):
         compiled = trace.compile(base_addresses)
-    _replay_compiled(
-        compiled,
-        all_regions=all_regions,
-        region_blocks=region_blocks,
-        l2=l2,
-        controllers=controllers,
-        interleave_blocks=interleave_blocks,
-    )
-    if metrics.enabled():
-        metrics.observe("replay.peak_rss_mib", metrics.peak_rss_mib())
-
-
-def _replay_compiled(
-    compiled,
-    *,
-    all_regions: dict[str, Region],
-    region_blocks: dict[str, list[bytes]],
-    l2: SetAssociativeCache,
-    controllers: list[MemoryController],
-    interleave_blocks: int,
-) -> None:
-    """Replay one compiled window (the whole trace, or one chunk)."""
     with span("replay.l2", cat="replay", accesses=int(compiled.addresses.shape[0])):
         miss_mask = replay_l2(
             l2, compiled.addresses, compiled.is_write, compiled.counts
@@ -131,14 +83,19 @@ def _replay_compiled(
     # write misses: batched compression decisions + batched payload codec,
     # grouped by approximable flag (per-block results and the backend's own
     # counters are identical to per-miss ``store`` calls; only the call
-    # grouping differs).
-    stored_by_miss: list = [None] * n_miss
+    # grouping differs).  Each miss records where its data lives: its own
+    # region's block matrix, or the degraded rows of its batch.
+    region_names = compiled.regions
+    sources = [region_blocks[name] for name in region_names]
+    miss_source = miss_region.astype(np.int64)
+    miss_row = miss_block.astype(np.int64)
     miss_bursts = np.zeros(n_miss, dtype=np.int64)
+    miss_bits = np.zeros(n_miss, dtype=np.int64)
+    miss_lossy = np.zeros(n_miss, dtype=np.bool_)
     write_indices = np.nonzero(miss_write)[0]
     if write_indices.size:
         with span("replay.store_batch", cat="replay",
                   writes=int(write_indices.size)):
-            region_names = compiled.regions
             approximable = np.fromiter(
                 (all_regions[name].approximable for name in region_names),
                 np.bool_,
@@ -149,17 +106,17 @@ def _replay_compiled(
                 selected = write_indices[write_approx == flag]
                 if not selected.size:
                     continue
-                blocks = [
-                    region_blocks[region_names[ri]][bi]
-                    for ri, bi in zip(
-                        miss_region[selected].tolist(), miss_block[selected].tolist()
-                    )
-                ]
-                for i, stored in zip(
-                    selected.tolist(), backend.store_batch(blocks, approximable=flag)
-                ):
-                    stored_by_miss[i] = stored
-                    miss_bursts[i] = stored.bursts
+                batch = backend.store_batch(
+                    _gather_rows(sources, miss_region[selected], miss_block[selected]),
+                    approximable=flag,
+                )
+                miss_bursts[selected] = batch.bursts
+                miss_bits[selected] = batch.stored_bits
+                miss_lossy[selected] = batch.lossy
+                lossy = selected[batch.lossy]
+                miss_source[lossy] = len(sources)
+                miss_row[lossy] = np.arange(lossy.shape[0])
+                sources.append(batch.degraded)
 
     # ------------------------------------------------------------------ #
     # per-controller miss-path accounting
@@ -172,13 +129,34 @@ def _replay_compiled(
             if not counts[c]:
                 continue
             events = by_controller[offsets[c] : offsets[c] + counts[c]]
-            _replay_controller(
+            final = _replay_controller(
                 controller,
                 addresses=miss_addr[events],
                 is_write=miss_write[events],
                 stored_bursts=miss_bursts[events],
-                stored_blocks=[stored_by_miss[i] for i in events.tolist()],
+                stored_lossy=miss_lossy[events],
             )
+            # Storage ends up holding each written address's final store.
+            stores = events[final]
+            store_source = miss_source[stores]
+            for source in np.unique(store_source).tolist():
+                chosen = stores[store_source == source]
+                controller.storage.put(
+                    miss_addr[chosen], miss_bursts[chosen], miss_bits[chosen],
+                    miss_lossy[chosen], sources[source], miss_row[chosen],
+                )
+
+
+def _gather_rows(
+    sources: list[np.ndarray], region_index: np.ndarray, block_index: np.ndarray
+) -> np.ndarray:
+    """Rows ``block_index`` of the block matrices ``sources[region_index]``."""
+    width = sources[0].shape[1]
+    rows = np.empty((region_index.shape[0], width), np.uint8)
+    for region in np.unique(region_index).tolist():
+        chosen = region_index == region
+        rows[chosen] = sources[region][block_index[chosen]]
+    return rows
 
 
 def _replay_controller(
@@ -187,28 +165,24 @@ def _replay_controller(
     addresses: np.ndarray,
     is_write: np.ndarray,
     stored_bursts: np.ndarray,
-    stored_blocks: list,
-) -> None:
-    """Account one controller's miss events (in service order)."""
+    stored_lossy: np.ndarray,
+) -> np.ndarray:
+    """Account one controller's miss events (in service order).
+
+    Returns the indices of the events whose store is the last one to their
+    address — the stores the controller's storage must end up holding.
+    """
     n = addresses.shape[0]
     is_read = ~is_write
     backend_max = controller.backend.max_bursts
 
     # Storage timeline: the burst count a read fetches is the one recorded
     # by the latest preceding store of that address — seeded from the
-    # controller's storage (host-to-device copies), advanced by write
+    # controller's block store (host-to-device copies), advanced by write
     # misses.  Computed as a per-address forward fill over events sorted by
     # (address, time).
     unique = np.unique(addresses)
-    storage = controller._storage
-    initial_bursts = np.fromiter(
-        (
-            stored.bursts if (stored := storage.get(address)) is not None else backend_max
-            for address in unique.tolist()
-        ),
-        np.int64,
-        unique.shape[0],
-    )
+    initial_bursts = controller.storage.stored_bursts(unique, default=backend_max)
     by_address = np.argsort(addresses, kind="stable")
     sorted_addresses = addresses[by_address]
     sorted_writes = is_write[by_address]
@@ -247,19 +221,14 @@ def _replay_controller(
     stats.decompress_invocations += n_reads
     stats.compress_invocations += n_writes
     stats.mdc_extra_bursts += int((fetched[is_read] - actual[is_read]).sum())
-    stats.lossy_blocks += sum(
-        1 for stored in stored_blocks if stored is not None and stored.lossy
-    )
-
-    # Storage ends up holding each written address's final stored block.
-    group_end = group_start + np.diff(np.append(group_start, n)) - 1
-    final_store = last_store[group_end]
-    for g in np.nonzero(final_store >= group_start)[0].tolist():
-        event = int(by_address[final_store[g]])
-        storage[int(unique[g])] = stored_blocks[event]
+    stats.lossy_blocks += int(np.count_nonzero(stored_lossy & is_write))
 
     replay_dram(
         controller.channel,
         addresses * controller.block_size_bytes,
         fetched,
     )
+
+    group_end = group_start + np.diff(np.append(group_start, n)) - 1
+    final_store = last_store[group_end]
+    return by_address[final_store[final_store >= group_start]]

@@ -9,6 +9,8 @@ reproduce bit-exactly, and remains selectable via
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.memory_controller import MemoryController
 from repro.gpu.trace import MemoryTrace
@@ -19,7 +21,7 @@ def replay_trace_scalar(
     trace: MemoryTrace,
     *,
     all_regions: dict[str, Region],
-    region_blocks: dict[str, list[bytes]],
+    region_blocks: dict[str, np.ndarray],
     base_addresses: dict[str, int],
     l2: SetAssociativeCache,
     controllers: list[MemoryController],
@@ -30,7 +32,7 @@ def replay_trace_scalar(
     Args:
         trace: the workload's block-granular memory trace.
         all_regions: every region the trace references.
-        region_blocks: per-region raw block contents.
+        region_blocks: per-region ``(n_blocks, block_size)`` block matrices.
         base_addresses: global base block address of every region.
         l2: the shared L2 cache.
         controllers: the memory controllers (block addresses interleave
@@ -50,7 +52,7 @@ def replay_trace_scalar(
                 block = region_blocks[access.region][access.block_index]
                 controller.store_block(
                     address,
-                    block,
+                    block.tobytes(),
                     approximable=region.approximable,
                     count_traffic=True,
                 )

@@ -3,6 +3,8 @@
 from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.blocks import (
     array_to_blocks,
+    as_block_matrix,
+    block_matrix,
     blocks_to_array,
     block_to_symbols,
     bytes_to_words,
@@ -16,6 +18,8 @@ __all__ = [
     "BitWriter",
     "sample_evenly",
     "array_to_blocks",
+    "as_block_matrix",
+    "block_matrix",
     "blocks_to_array",
     "block_to_symbols",
     "symbols_to_block",

@@ -16,13 +16,15 @@ from repro.workloads.datagen import clustered_values, quantize_varying
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF via the error-function identity."""
+    """Standard normal CDF via the error-function identity.
+
+    scipy is a declared dependency; it is imported here rather than at
+    module level so importing the workload registry stays cheap.
+    """
     from math import sqrt
 
-    try:
-        from scipy.special import erf
-    except ImportError:  # pragma: no cover - scipy is an install requirement
-        erf = np.vectorize(__import__("math").erf)
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(x / sqrt(2.0)))
 
 

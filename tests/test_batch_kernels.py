@@ -250,7 +250,7 @@ def test_slc_backend_store_batch_matches_scalar():
     batch_backend.train(blocks[:256])
     scalar_stored = [scalar_backend.store(b) for b in blocks]
     batch_stored = batch_backend.store_batch(blocks)
-    assert batch_stored == scalar_stored
+    assert list(batch_stored) == scalar_stored
     assert batch_backend.total_blocks == scalar_backend.total_blocks
     assert batch_backend.lossy_blocks == scalar_backend.lossy_blocks
     assert batch_backend.total_overshoot_bits == scalar_backend.total_overshoot_bits
@@ -262,7 +262,7 @@ def test_lossless_backend_store_batch_matches_scalar():
     batch_backend = LosslessBackend(E2MCCompressor())
     scalar_backend.train(blocks[:256])
     batch_backend.train(blocks[:256])
-    assert batch_backend.store_batch(blocks) == [
+    assert list(batch_backend.store_batch(blocks)) == [
         scalar_backend.store(b) for b in blocks
     ]
 

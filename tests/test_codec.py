@@ -207,8 +207,8 @@ def test_store_batch_matches_scalar_store_counters():
     for backend in (scalar_backend, batch_backend, oracle_backend):
         backend.train(blocks)
     scalar = [scalar_backend.store(b) for b in blocks]
-    assert batch_backend.store_batch(blocks) == scalar
-    assert oracle_backend.store_batch(blocks) == scalar
+    assert list(batch_backend.store_batch(blocks)) == scalar
+    assert list(oracle_backend.store_batch(blocks)) == scalar
     for backend in (batch_backend, oracle_backend):
         assert backend.total_blocks == scalar_backend.total_blocks
         assert backend.lossy_blocks == scalar_backend.lossy_blocks

@@ -9,6 +9,9 @@ Huffman payload codec.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,37 @@ def test_run_sharded_propagates_worker_exception(monkeypatch):
 
     with pytest.raises(RuntimeError, match="shard failed"):
         backend.run_sharded(boom, 10_000)
+
+
+def _shard_in_child(queue) -> None:
+    queue.put(backend.run_sharded(lambda lo, hi: hi - lo, 1000))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_run_sharded_works_in_a_forked_child(monkeypatch):
+    """A forked campaign worker must not reuse the parent's thread pool."""
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
+    both_running = threading.Barrier(2, timeout=30)
+
+    def meet(lo, hi):  # forces the parent's pool to start both threads
+        both_running.wait()
+        return hi - lo
+
+    assert backend.run_sharded(meet, 1000) == [500, 500]
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_shard_in_child, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == [500, 500]
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive()
 
 
 # --------------------------------------------------------------------- #

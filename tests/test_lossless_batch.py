@@ -142,7 +142,7 @@ def test_bpc_large_block_falls_back_to_scalar():
 def test_backend_store_batch_matches_scalar_store(scheme):
     blocks = _structured_blocks(seed=9) + make_float_blocks(seed=13)
     backend = LosslessBackend(get_compressor(scheme))
-    assert backend.store_batch(blocks) == [backend.store(b) for b in blocks]
+    assert list(backend.store_batch(blocks)) == [backend.store(b) for b in blocks]
 
 
 def test_backend_dispatches_scalar_compressors_too():
@@ -165,7 +165,7 @@ def test_backend_dispatches_scalar_compressors_too():
 
     backend = LosslessBackend(HalfCompressor())
     blocks = [bytes(128), bytes(range(128))]
-    stored = backend.store_batch(blocks)
+    stored = list(backend.store_batch(blocks))
     assert stored == [backend.store(b) for b in blocks]
     assert all(s.stored_bits == 512 for s in stored)
     # unregistered name: the E2MC fallback latencies apply
@@ -228,7 +228,12 @@ def test_stored_block_keeps_bytes_without_copy():
     block = bytes(range(128))
     lossless = LosslessBackend(get_compressor("bdi"))
     assert lossless.store(block).data is block
-    assert lossless.store_batch([block])[0].data is block
+    # a batch references the block matrix it was given and holds no data
+    # of its own for lossless blocks
+    matrix = np.frombuffer(block, np.uint8).reshape(1, 128)
+    batch = lossless.store_batch(matrix)
+    assert batch.blocks is matrix
+    assert batch.degraded.shape == (0, 128)
     raw = NoCompressionBackend()
     assert raw.store(block).data is block
 

@@ -33,7 +33,7 @@ from repro.replay import (
     replay_trace,
     replay_trace_scalar,
 )
-from repro.utils.blocks import array_to_blocks
+from repro.utils.blocks import array_to_blocks, block_matrix
 from repro.workloads.base import Region
 from repro.workloads.registry import PAPER_WORKLOAD_ORDER
 
@@ -301,7 +301,7 @@ def _make_state(seed: int, backend_kind: str, mdc_entries: int):
         "inp": Region(name="inp", array=arrays["inp"], approximable=True),
         "out": Region(name="out", array=arrays["out"], approximable=False, is_output=True),
     }
-    region_blocks = {name: array_to_blocks(r.array, 128) for name, r in regions.items()}
+    region_blocks = {name: block_matrix(r.array, 128) for name, r in regions.items()}
     base_addresses, base = {}, 0
     for name in regions:
         base_addresses[name] = base
@@ -309,7 +309,7 @@ def _make_state(seed: int, backend_kind: str, mdc_entries: int):
 
     if backend_kind == "slc":
         backend = SLCBackend(SLCCompressor(SLCConfig(variant=SLCVariant.OPT)))
-        backend.train(region_blocks["inp"])
+        backend.train(array_to_blocks(arrays["inp"], 128))
     else:
         backend = NoCompressionBackend()
     controllers = [
@@ -319,7 +319,7 @@ def _make_state(seed: int, backend_kind: str, mdc_entries: int):
     for index, block in enumerate(region_blocks["inp"]):
         address = base_addresses["inp"] + index
         controllers[(address // 2) % 2].store_block(
-            address, block, approximable=True, count_traffic=False
+            address, block.tobytes(), approximable=True, count_traffic=False
         )
     l2 = SetAssociativeCache(2 * 2 * 128, line_bytes=128, ways=2)  # 2 sets, 2 ways
     return regions, region_blocks, base_addresses, l2, controllers
@@ -330,7 +330,7 @@ def _controller_state(controller: MemoryController):
         vars(controller.stats).copy(),
         _mdc_state(controller.mdc),
         _dram_state(controller.channel),
-        {a: (s.bursts, s.stored_bits, s.data, s.lossy) for a, s in controller._storage.items()},
+        {a: (s.bursts, s.stored_bits, s.data, s.lossy) for a, s in controller.stored_items()},
     )
 
 
