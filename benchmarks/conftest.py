@@ -148,9 +148,11 @@ def bench_record(request):
 
 
 @pytest.fixture(scope="session")
-def slc_workloads(request) -> list[str] | None:
-    """Optional subset of benchmarks to run."""
+def slc_workloads(request) -> tuple[str, ...]:
+    """The benchmarks to run: ``--slc-workloads`` or all nine paper kernels."""
+    from repro.workloads.registry import PAPER_WORKLOAD_ORDER
+
     raw = request.config.getoption("--slc-workloads").strip()
     if not raw:
-        return None
-    return [name.strip().upper() for name in raw.split(",") if name.strip()]
+        return PAPER_WORKLOAD_ORDER
+    return tuple(name.strip().upper() for name in raw.split(",") if name.strip())

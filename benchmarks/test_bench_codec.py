@@ -4,8 +4,7 @@ Measures bit-level payload materialization — Huffman compress + decompress of
 every block of each paper workload's regions — comparing the vectorized codec
 (:mod:`repro.kernels.codec` via ``compress_batch``/``decompress_batch``)
 against the per-symbol ``BitWriter``/``BitReader`` loops it replaces, plus
-the end-to-end effect of the batched ``apply_decision`` path on a TSLC-OPT
-campaign job.  Full mode (the default) sweeps all nine workloads and asserts
+a TSLC-OPT campaign job end to end against the all-scalar reference oracle.  Full mode (the default) sweeps all nine workloads and asserts
 the ≥5× codec / ≥1.5× job floors; ``--codec-quick`` is the CI smoke mode
 (three workloads, relaxed floors) so the codec path is exercised on every
 push.
@@ -198,11 +197,11 @@ def test_bench_codec_decode_speedup(slc_scale, codec_quick, bench_record):
 
 
 def test_bench_codec_end_to_end_job(slc_scale, codec_quick, bench_record):
-    """The batched apply_decision path must speed up a full TSLC-OPT job.
+    """The production pipeline must speed up a full TSLC-OPT job.
 
     The payload codec runs in every store (host-to-device copies and write
-    misses), so with analysis and replay already vectorized it dominates
-    TSLC job time; the batched path must clear the floor end to end.
+    misses), so it dominates the reference oracle's TSLC job time; the
+    production pipeline must clear the floor end to end.
     """
     floor = QUICK_JOB_FLOOR if codec_quick else FULL_JOB_FLOOR
     job = Job(
@@ -213,17 +212,17 @@ def test_bench_codec_end_to_end_job(slc_scale, codec_quick, bench_record):
         compute_error=False,
     )
     batch_s = _time(lambda: simulate_job(job), repeats=2)
-    scalar_s = _time(lambda: simulate_job(job, batch_codec=False), repeats=2)
+    scalar_s = _time(lambda: simulate_job(job, reference=True), repeats=2)
     speedup = scalar_s / batch_s
     print(
-        f"\nend-to-end NN/TSLC-OPT job: scalar codec {scalar_s * 1e3:.1f} ms, "
-        f"batch codec {batch_s * 1e3:.1f} ms ({speedup:.2f}x, floor {floor:.1f}x)"
+        f"\nend-to-end NN/TSLC-OPT job: reference {scalar_s * 1e3:.1f} ms, "
+        f"production {batch_s * 1e3:.1f} ms ({speedup:.2f}x, floor {floor:.1f}x)"
     )
     # Absolute seconds are machine-dependent: trajectory context, not a gate.
     bench_record(
         "job_nn_tslc_opt_s", batch_s, unit="s", higher_is_better=False, gate=False,
     )
     assert speedup >= floor, (
-        f"batched codec job only {speedup:.2f}x over the scalar payload path "
+        f"production job only {speedup:.2f}x over the reference oracle "
         f"(floor {floor}x)"
     )

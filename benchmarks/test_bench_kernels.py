@@ -3,8 +3,8 @@
 Measures the SLC analysis hot path — code lengths, Fig. 4 decision, adder
 tree — over all blocks of each paper workload's regions, comparing the
 vectorized ``analyze_batch`` kernels (:mod:`repro.kernels`) against the
-per-block scalar ``analyze`` loop they replace, plus the end-to-end effect on
-one campaign job.  Full mode (the default) sweeps all nine workloads and
+per-block scalar ``analyze`` loop they replace, plus one campaign job end to
+end against the all-scalar reference oracle.  Full mode (the default) sweeps all nine workloads and
 asserts the ≥5× speedup target; ``--kernels-quick`` is the CI smoke mode
 (three workloads, relaxed floor) so the batch path is exercised on every
 push.
@@ -88,7 +88,7 @@ def test_bench_kernels_analyze_speedup(benchmark, slc_scale, kernels_quick,
 
 
 def test_bench_kernels_end_to_end_job(slc_scale, kernels_quick):
-    """Batched store phase must not slow down a full campaign job."""
+    """The production pipeline must not be slower than the reference oracle."""
     job = Job(
         workload="NN",
         scheme="TSLC-OPT",
@@ -96,13 +96,13 @@ def test_bench_kernels_end_to_end_job(slc_scale, kernels_quick):
         seed=2019,
         compute_error=False,
     )
-    batch_s = _time(lambda: simulate_job(job, batch_store=True), repeats=2)
-    scalar_s = _time(lambda: simulate_job(job, batch_store=False), repeats=2)
+    batch_s = _time(lambda: simulate_job(job), repeats=2)
+    scalar_s = _time(lambda: simulate_job(job, reference=True), repeats=2)
     print(
-        f"\nend-to-end NN/TSLC-OPT job: scalar {scalar_s * 1e3:.1f} ms, "
-        f"batch {batch_s * 1e3:.1f} ms ({scalar_s / batch_s:.2f}x)"
+        f"\nend-to-end NN/TSLC-OPT job: reference {scalar_s * 1e3:.1f} ms, "
+        f"production {batch_s * 1e3:.1f} ms ({scalar_s / batch_s:.2f}x)"
     )
-    # The store phase is only part of a job (trace replay, training and the
-    # workload kernel are unchanged), so the end-to-end win is smaller than
-    # the kernel-level one; it must at minimum never be a regression.
+    # Training and the workload kernel are shared by both pipelines, so the
+    # end-to-end win is smaller than the kernel-level one; it must at
+    # minimum never be a regression.
     assert batch_s <= scalar_s * 1.10

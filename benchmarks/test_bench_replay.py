@@ -3,8 +3,8 @@
 Measures the kernel-execution phase of the simulator — L2 lookups plus the
 memory-controller/MDC/DRAM miss path — over all nine paper workloads,
 comparing the array engine (:mod:`repro.replay`) against the scalar
-reference loop it replaces, plus the end-to-end effect on a memory-heavy
-campaign job.  Full mode (the default) sweeps all nine workloads at a
+reference loop it replaces, plus a memory-heavy campaign job end to end
+against the all-scalar reference oracle.  Full mode (the default) sweeps all nine workloads at a
 trace-heavy scale and asserts the ≥5× geomean speedup target;
 ``--replay-quick`` is the CI smoke mode (three workloads, benchmark-default
 scale, relaxed floor) so the vectorized path is exercised on every push.
@@ -164,12 +164,12 @@ def test_bench_replay_end_to_end_job(replay_quick, bench_record):
         seed=2019,
         compute_error=False,
     )
-    vector_s = _time(lambda: simulate_job(job, replay_mode="vectorized"))
-    scalar_s = _time(lambda: simulate_job(job, replay_mode="scalar"))
+    vector_s = _time(lambda: simulate_job(job))
+    scalar_s = _time(lambda: simulate_job(job, reference=True))
     speedup = scalar_s / vector_s
     print(
-        f"\nend-to-end TP/E2MC job: scalar {scalar_s * 1e3:.1f} ms, "
-        f"vectorized {vector_s * 1e3:.1f} ms ({speedup:.2f}x)"
+        f"\nend-to-end TP/E2MC job: reference {scalar_s * 1e3:.1f} ms, "
+        f"production {vector_s * 1e3:.1f} ms ({speedup:.2f}x)"
     )
     # Absolute seconds are machine-dependent: trajectory context, not a gate.
     # Quick mode runs at the same scale obs.bench measures, so the name

@@ -3,7 +3,7 @@
 Kept in its own module so :func:`execute_job` is importable at top level —
 a requirement for ``ProcessPoolExecutor`` under the ``spawn`` start method —
 and so the campaign package depends only on the core/gpu/workload layers
-(the experiment harness builds on the campaign engine, not the other way
+(the study harness builds on the campaign engine, not the other way
 around).
 """
 
@@ -39,7 +39,6 @@ def build_backend(
     config: GPUConfig,
     lossy_threshold_bytes: int = 16,
     mag_bytes: int | None = None,
-    batch_codec: bool = True,
 ) -> CompressionBackend:
     """Build the memory-controller backend for a scheme label.
 
@@ -47,9 +46,7 @@ def build_backend(
     GPU latency config); the other lossless labels (``"BDI"``, ``"FPC"``,
     ``"CPACK"``, ``"BPC"``) come from the compression registry with the
     registry's per-scheme latencies; the TSLC labels yield an SLC backend of
-    the matching variant (60/20 cycles).  ``batch_codec=False`` routes SLC
-    batched stores through the scalar per-block payload path (the codec
-    microbenchmark's reference).
+    the matching variant (60/20 cycles).
     """
     mag = mag_bytes if mag_bytes is not None else config.mag_bytes
     latency = config.latency
@@ -85,33 +82,22 @@ def build_backend(
         SLCCompressor(slc_config),
         compress_cycles=latency.tslc_compress_cycles,
         decompress_cycles=latency.tslc_decompress_cycles,
-        batch_codec=batch_codec,
     )
 
 
 def simulate_job(
     job: Job,
-    batch_store: bool = True,
-    replay_mode: str = "vectorized",
-    batch_codec: bool = True,
+    reference: bool = False,
     payload_digest: bool = False,
 ) -> SimulationResult:
     """Run one job to completion and return its simulation result.
 
     Args:
         job: the campaign job description.
-        batch_store: route the simulator's host-to-device store phase through
-            the vectorized analysis kernels (:mod:`repro.kernels`).  Results
-            are identical either way; the kernels microbenchmark flips this
-            off to measure the scalar path.
-        replay_mode: trace-replay engine for the kernel-execution phase —
-            ``"vectorized"`` (default, :mod:`repro.replay`) or ``"scalar"``
-            (the per-access reference loop).  Results are identical either
-            way; the replay microbenchmark flips this to measure both.
-        batch_codec: materialize stored payload bytes with the vectorized
-            payload codec (:mod:`repro.kernels.codec`) instead of per-block
-            ``apply_decision`` calls.  Results are identical either way; the
-            codec microbenchmark flips this off to measure the scalar path.
+        reference: run the all-scalar reference oracle (per-block stores,
+            per-access replay) instead of the production pipeline; results
+            are identical (see :class:`GPUSimulator`).  The equivalence
+            tests and the end-to-end benchmarks' baselines set it.
         payload_digest: record ``extra_metrics["payload_sha256"]`` over the
             final stored state (see :class:`GPUSimulator`); used by the
             golden-result regression suite.
@@ -119,8 +105,7 @@ def simulate_job(
     config = overrides_to_config(job.config_overrides)
     simulator = GPUSimulator(
         config=config,
-        batch_store=batch_store,
-        replay_mode=replay_mode,
+        reference=reference,
         payload_digest=payload_digest,
     )
     kwargs: dict = {"seed": job.seed}
@@ -132,7 +117,6 @@ def simulate_job(
         config,
         lossy_threshold_bytes=job.lossy_threshold_bytes,
         mag_bytes=job.mag_bytes,
-        batch_codec=batch_codec,
     )
     return simulator.run(workload, backend, compute_error=job.compute_error)
 

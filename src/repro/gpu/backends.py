@@ -253,11 +253,6 @@ class SLCBackend(CompressionBackend):
         slc: the configured (and later trained) :class:`SLCCompressor`.
         compress_cycles: compression latency in controller cycles.
         decompress_cycles: decompression latency in controller cycles.
-        batch_codec: materialize the degraded bytes of batched stores with
-            the vectorized payload codec (:mod:`repro.kernels.codec`) instead
-            of per-block :meth:`SLCCompressor.apply_decision` calls.  Results
-            are identical either way; the codec microbenchmark flips this off
-            to measure the scalar payload path.
     """
 
     def __init__(
@@ -265,14 +260,12 @@ class SLCBackend(CompressionBackend):
         slc: SLCCompressor,
         compress_cycles: int = 60,
         decompress_cycles: int = 20,
-        batch_codec: bool = True,
     ) -> None:
         super().__init__(slc.config.block_size_bytes, slc.config.mag_bytes)
         self.slc = slc
         self.name = f"slc-{slc.config.variant.value}"
         self._compress_cycles = compress_cycles
         self._decompress_cycles = decompress_cycles
-        self.batch_codec = batch_codec
         self.lossy_blocks = 0
         self.total_blocks = 0
         self.total_overshoot_bits = 0
@@ -311,23 +304,13 @@ class SLCBackend(CompressionBackend):
         The decision arrays come from :meth:`SLCCompressor.analyze_batch_arrays`
         and the degraded data of the lossy blocks from one vectorized
         truncation/prediction pass, so no per-block Python codec work
-        remains.  With ``batch_codec=False`` the decisions are materialized
-        and each block goes through the scalar payload path instead; other
-        geometries fall back to per-block :meth:`store`.
+        remains.  Geometries the symbol view does not cover fall back to
+        per-block :meth:`store`.
         """
         view = self.slc.symbol_view(rows)
         if view is None:
             return _columns(
                 [self.store(row.tobytes(), approximable=approximable) for row in rows],
-                self.block_size_bytes,
-            )
-        if not self.batch_codec:
-            decisions = self.slc.analyze_batch(view, approximable=approximable)
-            return _columns(
-                [
-                    self._record(block, decision)
-                    for block, decision in zip(view, decisions)
-                ],
                 self.block_size_bytes,
             )
         codec_start = time.perf_counter() if metrics.enabled() else 0.0

@@ -171,29 +171,24 @@ class GPUSimulator:
             overlap of computation and memory transfers.
         train_samples: number of blocks sampled per workload to train the
             compression backend's probability model (E2MC's online sampling).
-        batch_store: run the host-to-device store phase through the backend's
-            batched analysis kernels (:mod:`repro.kernels`), one
-            ``store_batch`` call per region instead of one ``store`` call per
-            block.  Results are identical; disable only to benchmark the
-            scalar path.
-        replay_mode: how the kernel-execution phase replays the block trace.
-            ``"vectorized"`` (the default) runs the array engine
-            (:mod:`repro.replay`): compiled trace, reuse-distance L2,
-            batched miss-path accounting.  ``"scalar"`` runs the original
-            per-access loop.  Results are bit-identical; the scalar mode
-            exists as the reference oracle and for benchmarking.
+        reference: run the all-scalar reference oracle instead of the
+            production pipeline: the host-to-device store calls the
+            backend's per-block ``store`` (through
+            :meth:`MemoryController.store_block`) for every block, and the
+            kernel-execution phase replays the trace with the per-access
+            loop of :func:`~repro.replay.reference.replay_trace_scalar`.
+            Results are bit-identical to the default batched kernels and
+            array replay engine; the oracle exists for equivalence tests and
+            as the baseline of the end-to-end benchmarks.
         payload_digest: record a SHA-256 digest of the final stored state —
             every stored block's address, burst count, stored bits, lossy
             flag and (possibly degraded) data bytes, in address order — as
             ``extra_metrics["payload_sha256"]``.  The golden-result suite
-            uses it to pin the scalar and batched payload codecs to the
+            uses it to pin the reference and production pipelines to the
             same bytes; off by default because campaign results are meant
             to be content-comparable across runs that store different
             amounts of data (e.g. different trace subsets).
     """
-
-    #: valid ``replay_mode`` values
-    REPLAY_MODES = ("vectorized", "scalar")
 
     def __init__(
         self,
@@ -202,8 +197,7 @@ class GPUSimulator:
         sm_efficiency: float = 0.7,
         overlap_penalty: float = 0.15,
         train_samples: int = 1024,
-        batch_store: bool = True,
-        replay_mode: str = "vectorized",
+        reference: bool = False,
         payload_digest: bool = False,
     ) -> None:
         self.config = config or GPUConfig()
@@ -213,14 +207,9 @@ class GPUSimulator:
             raise ValueError("overlap_penalty must be within [0, 1]")
         if train_samples <= 0:
             raise ValueError("train_samples must be positive")
-        if replay_mode not in self.REPLAY_MODES:
-            raise ValueError(
-                f"replay_mode must be one of {self.REPLAY_MODES}, got {replay_mode!r}"
-            )
         self.overlap_penalty = overlap_penalty
         self.train_samples = train_samples
-        self.batch_store = batch_store
-        self.replay_mode = replay_mode
+        self.reference = reference
         self.payload_digest = payload_digest
 
     # ------------------------------------------------------------------ #
@@ -275,12 +264,8 @@ class GPUSimulator:
         # Host-to-device copy: every input region is compressed and stored.
         # This traffic happens before the kernel and is not charged to it.
         with span("sim.h2d_store", cat="sim", workload=workload.name,
-                  batch=self.batch_store):
-            if self.batch_store:
-                self._store_inputs(
-                    backend, controllers, input_regions, region_blocks, base_addresses
-                )
-            else:
+                  reference=self.reference):
+            if self.reference:
                 for name, region in input_regions.items():
                     base = base_addresses[name]
                     blocks = array_to_blocks(region.array, block_size)
@@ -291,16 +276,19 @@ class GPUSimulator:
                             approximable=region.approximable,
                             count_traffic=False,
                         )
+            else:
+                self._store_inputs(
+                    backend, controllers, input_regions, region_blocks, base_addresses
+                )
 
         # Kernel execution: replay the workload's block trace through the L2.
-        # The vectorized engine (repro.replay) and the scalar per-access loop
-        # produce bit-identical counters; the engine is the default because
-        # trace replay dominates sweep time.
+        # The array engine (repro.replay) and the scalar per-access loop of
+        # the reference oracle produce bit-identical counters.
         with span("sim.trace_build", cat="sim", workload=workload.name):
             trace = workload.trace(all_regions, block_size_bytes=block_size)
-        replay = replay_trace if self.replay_mode == "vectorized" else replay_trace_scalar
+        replay = replay_trace_scalar if self.reference else replay_trace
         with span("sim.replay", cat="sim", workload=workload.name,
-                  mode=self.replay_mode, accesses=len(trace)):
+                  reference=self.reference, accesses=len(trace)):
             replay(
                 trace,
                 all_regions=all_regions,

@@ -27,13 +27,11 @@ bit-exact against per-block `analyze` (enforced by
 `compress`/`decompress`/`apply_decision` (``tests/test_codec.py`` and the
 golden-result suite).
 
-Execution backend: every kernel runs pure single-threaded NumPy by default;
-``REPRO_KERNEL_BACKEND=threaded|numba`` (see :mod:`repro.kernels.backend`)
-routes the hottest kernels through a thread-sharded or JIT path with silent
-fallback — never changing results, only wall-clock.
+Every kernel is one single-threaded NumPy implementation: the simulator's
+production pipeline runs these kernels, and ``GPUSimulator(reference=True)``
+runs the scalar oracles instead, with identical results.
 """
 
-from repro.kernels.backend import active_backend, requested_backend, run_sharded
 from repro.kernels.codec import FusedDecodeTable, HuffmanCodecLUT, reconstruct_rows
 from repro.kernels.decision import BatchDecisions, analyze_code_lengths
 from repro.kernels.lut import CodeLengthLUT
@@ -48,11 +46,8 @@ __all__ = [
     "CodeLengthLUT",
     "FusedDecodeTable",
     "HuffmanCodecLUT",
-    "active_backend",
     "analyze_code_lengths",
     "as_symbol_view",
     "reconstruct_rows",
-    "requested_backend",
-    "run_sharded",
     "select_subblocks",
 ]

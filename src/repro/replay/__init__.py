@@ -14,9 +14,10 @@ equivalents that reproduce the scalar counters **bit-exactly**:
 * :func:`repro.replay.dram.replay_dram` — grouped per-(controller, bank)
   row-hit/row-miss scan replacing per-request ``DRAMChannel.service`` calls.
 * :func:`repro.replay.engine.replay_trace` — the orchestrator wired into
-  ``GPUSimulator.run`` behind the ``replay_mode`` knob.
+  ``GPUSimulator.run``'s production pipeline.
 * :func:`repro.replay.reference.replay_trace_scalar` — the original scalar
-  loop, kept as the n = 1 reference the equivalence suite checks against.
+  loop, kept as the n = 1 reference: ``GPUSimulator(reference=True)`` runs
+  it, and the equivalence suite checks the engine against it.
 """
 
 from repro.replay.dram import replay_dram

@@ -3,8 +3,8 @@
 This is the loop that used to live inline in ``GPUSimulator.run``: one L2
 lookup per access, one memory-controller method chain per miss.  It defines
 the semantics the vectorized engine (:mod:`repro.replay.engine`) must
-reproduce bit-exactly, and remains selectable via
-``GPUSimulator(replay_mode="scalar")`` for audits and benchmarks.
+reproduce bit-exactly, and is the replay phase of the all-scalar reference
+oracle, ``GPUSimulator(reference=True)``, for audits and benchmarks.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from repro.core.config import SLCConfig, SLCVariant
 from repro.core.slc import SLCCompressor
 from repro.core.tree import AdderTree
 from repro.gpu.backends import LosslessBackend, SLCBackend
-from repro.gpu.simulator import GPUSimulator
 from repro.kernels import (
     BatchSymbolView,
     BatchTreePlan,
@@ -238,7 +237,7 @@ def test_analyze_batch_empty():
 
 
 # --------------------------------------------------------------------- #
-# backend + simulator wiring
+# backend wiring
 
 
 def test_slc_backend_store_batch_matches_scalar():
@@ -249,8 +248,7 @@ def test_slc_backend_store_batch_matches_scalar():
     scalar_backend.train(blocks[:256])
     batch_backend.train(blocks[:256])
     scalar_stored = [scalar_backend.store(b) for b in blocks]
-    batch_stored = batch_backend.store_batch(blocks)
-    assert list(batch_stored) == scalar_stored
+    assert list(batch_backend.store_batch(blocks)) == scalar_stored
     assert batch_backend.total_blocks == scalar_backend.total_blocks
     assert batch_backend.lossy_blocks == scalar_backend.lossy_blocks
     assert batch_backend.total_overshoot_bits == scalar_backend.total_overshoot_bits
@@ -265,18 +263,3 @@ def test_lossless_backend_store_batch_matches_scalar():
     assert list(batch_backend.store_batch(blocks)) == [
         scalar_backend.store(b) for b in blocks
     ]
-
-
-@pytest.mark.parametrize("scheme", ["e2mc", "slc"])
-def test_simulator_batch_store_identical_results(scheme):
-    def build_backend():
-        if scheme == "e2mc":
-            return LosslessBackend(E2MCCompressor())
-        return SLCBackend(SLCCompressor(SLCConfig(variant=SLCVariant.OPT)))
-
-    def run(batch_store: bool):
-        # a fresh workload per run: generate() advances the workload's rng
-        workload = get_workload("NN", scale=1.0 / 1024.0, seed=3)
-        return GPUSimulator(batch_store=batch_store).run(workload, build_backend())
-
-    assert run(True).to_dict() == run(False).to_dict()

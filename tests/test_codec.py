@@ -143,7 +143,7 @@ def test_apply_decision_batch_length_mismatch():
         slc.apply_decision_batch([bytes(BLOCK)], [])
 
 
-def test_batch_codec_empty_region():
+def test_batched_codec_empty_region():
     slc = trained_slc(SLCVariant.OPT, 32)
     assert slc.compress_batch([]) == []
     assert slc.decompress_batch([]) == []
@@ -203,16 +203,13 @@ def test_store_batch_matches_scalar_store_counters():
     config = SLCConfig(variant=SLCVariant.OPT)
     scalar_backend = SLCBackend(SLCCompressor(config))
     batch_backend = SLCBackend(SLCCompressor(config))
-    oracle_backend = SLCBackend(SLCCompressor(config), batch_codec=False)
-    for backend in (scalar_backend, batch_backend, oracle_backend):
+    for backend in (scalar_backend, batch_backend):
         backend.train(blocks)
     scalar = [scalar_backend.store(b) for b in blocks]
     assert list(batch_backend.store_batch(blocks)) == scalar
-    assert list(oracle_backend.store_batch(blocks)) == scalar
-    for backend in (batch_backend, oracle_backend):
-        assert backend.total_blocks == scalar_backend.total_blocks
-        assert backend.lossy_blocks == scalar_backend.lossy_blocks
-        assert backend.total_overshoot_bits == scalar_backend.total_overshoot_bits
+    assert batch_backend.total_blocks == scalar_backend.total_blocks
+    assert batch_backend.lossy_blocks == scalar_backend.lossy_blocks
+    assert batch_backend.total_overshoot_bits == scalar_backend.total_overshoot_bits
     assert scalar_backend.lossy_blocks > 0
 
 
@@ -233,7 +230,7 @@ def test_e2mc_batch_matches_scalar(blocks):
     assert decompressed == [bytes(b) for b in blocks]
 
 
-def test_e2mc_untrained_batch_stores_raw():
+def test_e2mc_untrained_batched_stores_raw():
     compressor = E2MCCompressor()
     blocks = make_mixed_blocks()[:6]
     batch = compressor.compress_batch(blocks)

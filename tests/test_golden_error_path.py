@@ -5,8 +5,8 @@ so it never reads the stored blocks back.  This slice runs every registered
 workload × {E2MC, TSLC-OPT} at MAG 32 with the error pass on and pins the
 whole result — ``error_percent``, the four ``fidelity_*`` values and the
 ``payload_sha256`` digest of the stored state among it — exactly, for both
-the production pipeline and the scalar reference (per-block store,
-per-access replay, per-block payload codec).
+the production pipeline and the all-scalar reference oracle
+(``reference=True``: per-block store and payload codec, per-access replay).
 
 The simulator is driven directly rather than through a campaign ``Job``:
 jobs pin ``compute_error`` off for lossless schemes, and the lossless error
@@ -53,18 +53,14 @@ def cell_key(workload: str, scheme: str) -> str:
     return f"{workload}/{scheme}/mag{MAG}"
 
 
-def run_cell(workload: str, scheme: str, scalar: bool) -> dict:
-    """One cell with the error pass on, production or scalar reference."""
+def run_cell(workload: str, scheme: str, reference: bool) -> dict:
+    """One cell with the error pass on, production or reference oracle."""
     config = GPUConfig()
     simulator = GPUSimulator(
-        config=config,
-        batch_store=not scalar,
-        replay_mode="scalar" if scalar else "vectorized",
-        payload_digest=True,
+        config=config, reference=reference, payload_digest=True
     )
     backend = build_backend(
-        scheme, config, lossy_threshold_bytes=MAG // 2, mag_bytes=MAG,
-        batch_codec=not scalar,
+        scheme, config, lossy_threshold_bytes=MAG // 2, mag_bytes=MAG
     )
     workload_obj = get_workload(workload, scale=SCALE, seed=SEED)
     return simulator.run(workload_obj, backend, compute_error=True).to_dict()
@@ -106,17 +102,17 @@ def test_fixture_pins_the_error_path(golden):
     ("workload", "scheme"), GRID, ids=[cell_key(*cell) for cell in GRID]
 )
 def test_golden_error_cell(golden, workload, scheme):
-    """Production and scalar reference reproduce the fixture bit-exactly."""
+    """Production and reference oracle reproduce the fixture bit-exactly."""
     expected = golden["cells"][cell_key(workload, scheme)]
-    assert run_cell(workload, scheme, scalar=False) == expected
-    assert run_cell(workload, scheme, scalar=True) == expected
+    assert run_cell(workload, scheme, reference=False) == expected
+    assert run_cell(workload, scheme, reference=True) == expected
 
 
 def regenerate() -> None:  # pragma: no cover - manual fixture refresh
     cells = {}
     for workload, scheme in GRID:
         key = cell_key(workload, scheme)
-        cells[key] = run_cell(workload, scheme, scalar=True)
+        cells[key] = run_cell(workload, scheme, reference=True)
         print(f"{key:<22} error={cells[key]['error_percent']:.6g}%")
     payload = {"scale": SCALE, "seed": SEED, "cells": cells}
     FIXTURE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

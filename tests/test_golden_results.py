@@ -6,18 +6,18 @@ data) for the 9-workload × {E2MC, TSLC-SIMP, TSLC-PRED, TSLC-OPT} ×
 MAG {16, 32, 64} grid — plus a lossless-scheme slice and the extended
 families (WEATHER, DNNACT) × {E2MC, TSLC-OPT} — at a reduced input scale,
 against values produced by
-the fully scalar reference pipeline (per-block store, per-access trace
-replay, per-symbol payload codec).  Both the scalar and the fully batched
-path (vectorized kernels + replay engine + payload codec) must reproduce
-the checked-in fixture bit-exactly, so any drift in either pipeline — or
-any divergence between them — fails loudly.
+the all-scalar reference oracle (``reference=True``: per-block store and
+payload codec, per-access trace replay).  Both the reference oracle and
+the production pipeline (batched kernels + replay engine + payload codec)
+must reproduce the checked-in fixture bit-exactly, so any drift in either
+pipeline — or any divergence between them — fails loudly.
 
 Regenerate the fixture (only when simulation semantics intentionally
 change) with::
 
     PYTHONPATH=src python tests/test_golden_results.py
 
-which reruns the scalar reference over the grid and rewrites
+which reruns the reference oracle over the grid and rewrites
 ``tests/golden_results.json``.
 """
 
@@ -90,13 +90,11 @@ def cell_job(workload: str, scheme: str, mag: int) -> Job:
     )
 
 
-def run_cell(workload: str, scheme: str, mag: int, scalar: bool) -> dict:
-    """One grid cell through the scalar reference or the batched pipeline."""
+def run_cell(workload: str, scheme: str, mag: int, reference: bool) -> dict:
+    """One grid cell through the reference oracle or the production pipeline."""
     return simulate_job(
         cell_job(workload, scheme, mag),
-        batch_store=not scalar,
-        replay_mode="scalar" if scalar else "vectorized",
-        batch_codec=not scalar,
+        reference=reference,
         payload_digest=True,
     ).to_dict()
 
@@ -137,19 +135,19 @@ def test_fixture_exercises_lossy_path(golden):
     ids=[cell_key(*cell) for cell in GRID],
 )
 def test_golden_cell(golden, workload, scheme, mag):
-    """Scalar and batched pipelines both reproduce the fixture bit-exactly."""
+    """Production and reference pipelines both reproduce the fixture bit-exactly."""
     expected = golden["cells"][cell_key(workload, scheme, mag)]
-    batched = run_cell(workload, scheme, mag, scalar=False)
-    assert batched == expected, "batched pipeline diverged from golden fixture"
-    scalar = run_cell(workload, scheme, mag, scalar=True)
-    assert scalar == expected, "scalar reference diverged from golden fixture"
+    production = run_cell(workload, scheme, mag, reference=False)
+    assert production == expected, "production pipeline diverged from golden fixture"
+    oracle = run_cell(workload, scheme, mag, reference=True)
+    assert oracle == expected, "reference oracle diverged from golden fixture"
 
 
 def regenerate() -> None:  # pragma: no cover - manual fixture refresh
     cells = {}
     for index, (workload, scheme, mag) in enumerate(GRID, 1):
         key = cell_key(workload, scheme, mag)
-        cells[key] = run_cell(workload, scheme, mag, scalar=True)
+        cells[key] = run_cell(workload, scheme, mag, reference=True)
         print(
             f"[{index:>3}/{len(GRID)}] {key:<22} "
             f"stored={cells[key]['stored_blocks']:>5} "

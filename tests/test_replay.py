@@ -5,7 +5,8 @@ counters **bit-exactly**: every component model (L2, MDC, DRAM) is checked
 against its scalar oracle on targeted patterns and random streams, the full
 engine is property-tested against the scalar reference loop on random
 traces (including tiny caches that force evictions and the MDC slow path),
-and whole simulations are compared result-for-result over the paper's
+and whole simulations are compared result-for-result against the
+all-scalar reference oracle (``reference=True``) over the paper's
 workload x backend x MAG grid.
 """
 
@@ -409,8 +410,8 @@ def test_engine_empty_trace_is_a_no_op():
 
 
 def _paired_results(job: Job):
-    scalar = simulate_job(job, replay_mode="scalar")
-    vector = simulate_job(job, replay_mode="vectorized")
+    scalar = simulate_job(job, reference=True)
+    vector = simulate_job(job)
     return scalar.to_dict(), vector.to_dict()
 
 
@@ -445,23 +446,3 @@ def test_simulation_equivalence_with_error(workload):
     scalar, vector = _paired_results(job)
     assert vector == scalar
     assert vector["error_percent"] == scalar["error_percent"]
-
-
-def test_simulation_equivalence_uncompressed_backend():
-    from repro.gpu.simulator import GPUSimulator
-    from repro.workloads.registry import get_workload
-
-    results = {}
-    for mode in ("scalar", "vectorized"):
-        simulator = GPUSimulator(replay_mode=mode)
-        results[mode] = simulator.run(
-            get_workload("TP", scale=SCALE), NoCompressionBackend(), compute_error=False
-        )
-    assert results["vectorized"].to_dict() == results["scalar"].to_dict()
-
-
-def test_replay_mode_validation():
-    from repro.gpu.simulator import GPUSimulator
-
-    with pytest.raises(ValueError):
-        GPUSimulator(replay_mode="turbo")

@@ -3,7 +3,7 @@
 The contract: a trace captured from a registry workload, saved to the
 ``.npz`` interchange format and loaded back replays through the simulator
 with bit-identical memory-side counters and stored-state digest — on the
-vectorized and the scalar pipeline alike.  Only ``error_percent`` differs
+production pipeline and the reference oracle alike.  Only ``error_percent`` differs
 by design: the file carries data, not a re-runnable kernel, so the trace
 workload's application error is 0 and data damage appears in the fidelity
 panel instead (which must match the in-memory run exactly).
@@ -40,13 +40,10 @@ def trace_path(tmp_path_factory):
     return save_trace(tmp_path_factory.mktemp("traces") / "nn", bundle)
 
 
-def simulate(workload, scalar=False):
+def simulate(workload, reference=False):
     config = GPUConfig()
     simulator = GPUSimulator(
-        config=config,
-        payload_digest=True,
-        replay_mode="scalar" if scalar else "vectorized",
-        batch_store=not scalar,
+        config=config, payload_digest=True, reference=reference
     )
     backend = build_backend(
         "TSLC-OPT", config, lossy_threshold_bytes=16, mag_bytes=32
@@ -72,9 +69,9 @@ def test_round_trip_is_bit_identical(trace_path):
 
 
 def test_round_trip_scalar_pipeline_matches(trace_path):
-    vectorized = simulate(load_trace(trace_path)).to_dict()
-    scalar = simulate(load_trace(trace_path), scalar=True).to_dict()
-    assert scalar == vectorized
+    production = simulate(load_trace(trace_path)).to_dict()
+    oracle = simulate(load_trace(trace_path), reference=True).to_dict()
+    assert oracle == production
 
 
 def test_saved_file_reports_npz_suffix(tmp_path):
