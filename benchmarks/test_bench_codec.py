@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from repro.campaign.spec import Job
-from repro.campaign.worker import simulate_job
+from repro.campaign.worker import clear_prepared, simulate_job
 from repro.compression.e2mc import E2MCCompressor
 from repro.compression.stats import geometric_mean
 from repro.core.config import SLCConfig, SLCVariant
@@ -61,8 +61,11 @@ def _workload_blocks(name: str, scale: float) -> list[bytes]:
 
 
 def _time(fn, repeats: int = 2) -> float:
+    """Best of ``repeats`` calls, each with an empty prepared-workload cache
+    (a timed job is one cold job, as in a fresh process)."""
     best = float("inf")
     for _ in range(repeats):
+        clear_prepared()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)

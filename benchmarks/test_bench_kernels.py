@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 from repro.campaign.spec import Job
-from repro.campaign.worker import simulate_job
+from repro.campaign.worker import clear_prepared, simulate_job
 from repro.compression.stats import geometric_mean
 from repro.core.config import SLCConfig, SLCVariant
 from repro.core.slc import SLCCompressor
@@ -40,8 +40,11 @@ def _workload_blocks(name: str, scale: float) -> list[bytes]:
 
 
 def _time(fn, repeats: int = 3) -> float:
+    """Best of ``repeats`` calls, each with an empty prepared-workload cache
+    (a timed job is one cold job, as in a fresh process)."""
     best = float("inf")
     for _ in range(repeats):
+        clear_prepared()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 from repro.campaign.spec import Job
-from repro.campaign.worker import build_backend, simulate_job
+from repro.campaign.worker import build_backend, clear_prepared, simulate_job
 from repro.compression.stats import geometric_mean
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
@@ -110,8 +110,11 @@ class _ReplayContext:
 
 
 def _time(fn, repeats: int = 2) -> float:
+    """Best of ``repeats`` calls, each with an empty prepared-workload cache
+    (a timed job is one cold job, as in a fresh process)."""
     best = float("inf")
     for _ in range(repeats):
+        clear_prepared()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)

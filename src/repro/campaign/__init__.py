@@ -51,7 +51,12 @@ from repro.campaign.store import (
     SQLiteResultStore,
     open_store,
 )
-from repro.campaign.worker import build_backend, execute_job, simulate_job
+from repro.campaign.worker import (
+    build_backend,
+    clear_prepared,
+    execute_job,
+    simulate_job,
+)
 
 __all__ = [
     "faults",
@@ -83,6 +88,7 @@ __all__ = [
     "run_jobs",
     "expand_specs",
     "build_backend",
+    "clear_prepared",
     "execute_job",
     "simulate_job",
     "config_to_overrides",

@@ -138,6 +138,30 @@ def serve_cached(
     return pending
 
 
+def group_prepared(jobs: list[Job]) -> list[Job]:
+    """Stable-sort ``jobs`` so the cells of one prepared workload are adjacent.
+
+    Cells with the same seed, scale, block size and workload share a
+    :class:`~repro.gpu.simulator.PreparedWorkload`, which a process keeps
+    only until it runs another workload.  A MAG or threshold sweep expands
+    with the workload loop innermost, so its cells of one workload are not
+    adjacent; grouping them lets every cell after a group's first reuse the
+    entry.  Groups keep the order of their first cell, so a workload-major
+    list is returned unchanged.
+    """
+    # the block size is the L2 line size (GPUConfig.block_size_bytes)
+    keys = [
+        (job.seed, job.scale, dict(job.config_overrides).get("l2_line_bytes"),
+         job.workload)
+        for job in jobs
+    ]
+    rank: dict[tuple, int] = {}
+    for key in keys:
+        rank.setdefault(key, len(rank))
+    order = sorted(range(len(jobs)), key=lambda i: rank[keys[i]])
+    return [jobs[i] for i in order]
+
+
 def make_collector(
     outcome: CampaignResult,
     store: ResultStore | None,
@@ -275,7 +299,8 @@ def run_jobs(
     Args:
         spec: the campaign the jobs belong to (kept on the result); None for
             coupled-axis job lists no single spec can express.
-        jobs: jobs to run, in collection order.
+        jobs: jobs to run; they are grouped by prepared workload (see
+            :func:`group_prepared`) and otherwise run in collection order.
         store: optional persistent store; successful stored records are
             reused (failures are retried) and fresh records are appended.
         workers: process count; ``<= 1`` runs in-process.
@@ -293,7 +318,7 @@ def run_jobs(
     outcome = CampaignResult(
         spec=spec, jobs=list({job.content_hash: job for job in jobs}.values())
     )
-    pending = serve_cached(outcome, store, progress)
+    pending = group_prepared(serve_cached(outcome, store, progress))
     collect = make_collector(outcome, store, progress)
 
     with tracing.span("campaign.execute", cat="campaign", pending=len(pending),

@@ -5,12 +5,21 @@ a requirement for ``ProcessPoolExecutor`` under the ``spawn`` start method —
 and so the campaign package depends only on the core/gpu/workload layers
 (the study harness builds on the campaign engine, not the other way
 around).
+
+A process keeps the :class:`~repro.gpu.simulator.PreparedWorkload` of the
+last job it ran, keyed by the registered workload factory, scale, seed and
+block size, so consecutive cells of one workload (the schemes, MAGs and
+thresholds of a sweep) generate its inputs, run its exact kernel and build
+its trace once.  The executor orders jobs so that those cells are
+consecutive.  The entry is per thread: thread workers of one process (the
+distributed loopback) never fill one entry at once.
 """
 
 from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 import traceback
 from datetime import datetime, timezone
@@ -30,8 +39,11 @@ from repro.core.config import SLCConfig
 from repro.core.slc import SLCCompressor
 from repro.gpu.backends import CompressionBackend, LosslessBackend, SLCBackend
 from repro.gpu.config import GPUConfig
-from repro.gpu.simulator import GPUSimulator, SimulationResult
-from repro.workloads.registry import get_workload
+from repro.gpu.simulator import GPUSimulator, PreparedWorkload, SimulationResult
+from repro.workloads.registry import workload_factory
+
+#: ``prepared``: ``(key, entry)`` of this thread's one prepared workload
+_cache = threading.local()
 
 
 def build_backend(
@@ -92,6 +104,10 @@ def simulate_job(
 ) -> SimulationResult:
     """Run one job to completion and return its simulation result.
 
+    The job's workload comes from this thread's prepared-workload cache
+    (see the module docstring); :func:`clear_prepared` makes the next job
+    run cold.  Results are identical either way.
+
     Args:
         job: the campaign job description.
         reference: run the all-scalar reference oracle (per-block stores,
@@ -108,17 +124,47 @@ def simulate_job(
         reference=reference,
         payload_digest=payload_digest,
     )
-    kwargs: dict = {"seed": job.seed}
-    if job.scale is not None:
-        kwargs["scale"] = job.scale
-    workload = get_workload(job.workload, **kwargs)
+    workload = _prepared_workload(job, config.block_size_bytes)
     backend = build_backend(
         job.scheme,
         config,
         lossy_threshold_bytes=job.lossy_threshold_bytes,
         mag_bytes=job.mag_bytes,
     )
-    return simulator.run(workload, backend, compute_error=job.compute_error)
+    try:
+        return simulator.run(workload, backend, compute_error=job.compute_error)
+    except BaseException:
+        # The cell may have failed mid-generation, leaving a workload whose
+        # RNG has moved on: the next cell must start from a fresh one.
+        clear_prepared()
+        raise
+
+
+def _prepared_workload(job: Job, block_size: int) -> PreparedWorkload:
+    """This thread's prepared workload for ``job``, empty on a miss.
+
+    The key is ``(registered factory, scale, seed, block size)``: the
+    factory object, not the name, so a workload re-registered under the
+    same name is a miss.  An empty entry is filled by the job's
+    :meth:`GPUSimulator.run`.  On a miss the old entry is dropped before
+    the new workload is built, so two workloads' data never coexist.
+    """
+    factory = workload_factory(job.workload)
+    key = (factory, job.scale, job.seed, block_size)
+    entry = getattr(_cache, "prepared", None)
+    if entry is None or entry[0] != key:
+        _cache.prepared = None
+        kwargs: dict = {"seed": job.seed}
+        if job.scale is not None:
+            kwargs["scale"] = job.scale
+        entry = _cache.prepared = (
+            key, PreparedWorkload(factory(**kwargs), block_size))
+    return entry[1]
+
+
+def clear_prepared() -> None:
+    """Drop this thread's prepared workload: its next job runs cold."""
+    _cache.prepared = None
 
 
 def execute_job(job_dict: dict) -> dict:

@@ -33,7 +33,7 @@ from repro.gpu.memory_controller import (
     MemoryController,
     MemoryControllerStats,
 )
-from repro.gpu.simulator import GPUSimulator, SimulationResult
+from repro.gpu.simulator import GPUSimulator, PreparedWorkload, SimulationResult
 from repro.gpu.trace import AccessType, MemoryAccess, MemoryTrace
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "EnergyModel",
     "EnergyBreakdown",
     "GPUSimulator",
+    "PreparedWorkload",
     "SimulationResult",
     "MemoryAccess",
     "MemoryTrace",

@@ -6,6 +6,11 @@ the trace into memory-controller traffic, GDDR5 channels turn bursts into
 busy time, and analytic timing/energy models turn the resulting counters into
 execution time, energy and EDP.  Kernel outputs recomputed from the degraded
 (approximated) inputs feed the application-specific error metric.
+
+Everything that depends only on the workload and the block size — inputs,
+exact outputs, block matrices, address layout and trace — is a
+:class:`PreparedWorkload`, which :meth:`GPUSimulator.run` accepts in place
+of a workload so that the cells of a sweep can share it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.energy import EnergyBreakdown, EnergyModel
 from repro.gpu.memory_controller import MemoryController
 from repro.gpu.sm import SMCluster
+from repro.gpu.trace import MemoryTrace
 from repro.metrics.fidelity import fidelity_summary
 from repro.obs import metrics
 from repro.obs.tracing import span
@@ -158,6 +164,46 @@ class SimulationResult:
         )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass
+class PreparedWorkload:
+    """The scheme-independent part of a simulation, shared by its cells.
+
+    For one workload object at one block size: the generated input regions,
+    the exact kernel outputs, every region (inputs and outputs) with its
+    block matrix, the flat address layout and the block trace.  None of it
+    depends on the compression scheme, MAG or lossy threshold, so a sweep
+    prepares it once and passes it to :meth:`GPUSimulator.run` for every
+    cell.
+
+    ``PreparedWorkload(workload, block_size_bytes)`` is an empty entry;
+    :meth:`GPUSimulator.run` fills it on first use (the data under the
+    ``sim.generate`` span, the trace under ``sim.trace_build``), and
+    :meth:`GPUSimulator.prepare` fills the data up front.  Every array it
+    holds is read-only, so a pipeline stage that tries to modify shared
+    state raises instead of corrupting the next cell.
+    """
+
+    workload: Workload
+    block_size_bytes: int
+    input_regions: dict[str, Region] = field(default_factory=dict)
+    exact_outputs: WorkloadOutput | None = None
+    all_regions: dict[str, Region] = field(default_factory=dict)
+    region_blocks: dict[str, np.ndarray] = field(default_factory=dict)
+    base_addresses: dict[str, int] = field(default_factory=dict)
+    trace: MemoryTrace | None = None
+
+    @property
+    def generated(self) -> bool:
+        """Whether the regions, outputs, block matrices and layout are filled."""
+        return self.exact_outputs is not None
+
+
 class GPUSimulator:
     """Trace-driven simulation of one workload under one compression backend.
 
@@ -215,33 +261,47 @@ class GPUSimulator:
     # ------------------------------------------------------------------ #
     # public API
 
+    def prepare(self, workload: Workload) -> PreparedWorkload:
+        """Generate ``workload``'s scheme-independent data at this block size.
+
+        The trace is left to the first :meth:`run`, which builds it after
+        the host-to-device store as a cold run does.
+        """
+        prepared = PreparedWorkload(workload, self.config.block_size_bytes)
+        self._generate(prepared)
+        return prepared
+
     def run(
         self,
-        workload: Workload,
+        workload: Workload | PreparedWorkload,
         backend: CompressionBackend,
         compute_error: bool = True,
     ) -> SimulationResult:
-        """Simulate ``workload`` with ``backend`` and return the result."""
+        """Simulate ``workload`` with ``backend`` and return the result.
+
+        ``workload`` is a workload, prepared on the spot, or a
+        :class:`PreparedWorkload` built for this simulator's block size,
+        which the run fills where it is still empty.  Both give the same
+        result.
+        """
         block_size = self.config.block_size_bytes
-
-        with span("sim.generate", cat="sim", workload=workload.name):
-            input_regions = workload.generate()
-            exact_outputs = workload.run(workload.input_arrays(input_regions))
-            all_regions: dict[str, Region] = dict(input_regions)
-            all_regions.update(workload.output_regions(exact_outputs))
-
-            region_blocks = {
-                name: block_matrix(region.array, block_size)
-                for name, region in all_regions.items()
-            }
-            # One copy of each region's bytes: where the split had to copy
-            # (a padded tail block), the region array now views the copy.
-            for name, region in all_regions.items():
-                region.array = blocks_to_array(
-                    region_blocks[name], region.array.dtype, region.array.shape,
-                    block_size=block_size,
+        if isinstance(workload, PreparedWorkload):
+            prepared = workload
+            if prepared.block_size_bytes != block_size:
+                raise ValueError(
+                    f"workload prepared for {prepared.block_size_bytes} B blocks, "
+                    f"simulator uses {block_size} B"
                 )
-            base_addresses = self._layout(all_regions, region_blocks)
+        else:
+            prepared = PreparedWorkload(workload, block_size)
+        if not prepared.generated:
+            self._generate(prepared)
+        workload = prepared.workload
+        input_regions = prepared.input_regions
+        exact_outputs = prepared.exact_outputs
+        all_regions = prepared.all_regions
+        region_blocks = prepared.region_blocks
+        base_addresses = prepared.base_addresses
 
         with span("sim.train", cat="sim", workload=workload.name):
             self._train_backend(backend, input_regions, region_blocks)
@@ -284,8 +344,12 @@ class GPUSimulator:
         # Kernel execution: replay the workload's block trace through the L2.
         # The array engine (repro.replay) and the scalar per-access loop of
         # the reference oracle produce bit-identical counters.
-        with span("sim.trace_build", cat="sim", workload=workload.name):
-            trace = workload.trace(all_regions, block_size_bytes=block_size)
+        if prepared.trace is None:
+            with span("sim.trace_build", cat="sim", workload=workload.name):
+                trace = workload.trace(all_regions, block_size_bytes=block_size)
+                trace.freeze()
+                prepared.trace = trace
+        trace = prepared.trace
         replay = replay_trace_scalar if self.reference else replay_trace
         with span("sim.replay", cat="sim", workload=workload.name,
                   reference=self.reference, accesses=len(trace)):
@@ -317,6 +381,35 @@ class GPUSimulator:
 
     # ------------------------------------------------------------------ #
     # pipeline stages
+
+    def _generate(self, prepared: PreparedWorkload) -> None:
+        """Fill ``prepared``: inputs, exact run, block matrices and layout."""
+        workload, block_size = prepared.workload, prepared.block_size_bytes
+        with span("sim.generate", cat="sim", workload=workload.name):
+            input_regions = workload.generate()
+            exact_outputs = workload.run(workload.input_arrays(input_regions))
+            all_regions: dict[str, Region] = dict(input_regions)
+            all_regions.update(workload.output_regions(exact_outputs))
+
+            region_blocks = {
+                name: _read_only(block_matrix(region.array, block_size))
+                for name, region in all_regions.items()
+            }
+            # One copy of each region's bytes: where the split had to copy
+            # (a padded tail block), the region array now views the copy.
+            for name, region in all_regions.items():
+                region.array = blocks_to_array(
+                    region_blocks[name], region.array.dtype, region.array.shape,
+                    block_size=block_size,
+                )
+            exact_outputs.arrays = {
+                name: _read_only(array) for name, array in exact_outputs.arrays.items()
+            }
+            prepared.input_regions = input_regions
+            prepared.all_regions = all_regions
+            prepared.region_blocks = region_blocks
+            prepared.base_addresses = self._layout(all_regions, region_blocks)
+            prepared.exact_outputs = exact_outputs
 
     def _layout(
         self,

@@ -247,6 +247,17 @@ class MemoryTrace:
             )
         )
 
+    def freeze(self) -> None:
+        """Make the block-index arrays of the stream segments read-only.
+
+        For a trace shared by several simulations (see
+        :class:`~repro.gpu.simulator.PreparedWorkload`): writing to its
+        arrays then raises instead of changing the next run's accesses.
+        """
+        for seg in self._segments:
+            if isinstance(seg, _StreamSegment):
+                seg.block_indices.flags.writeable = False
+
     @property
     def total_accesses(self) -> int:
         """Total number of accesses including repeat counts."""

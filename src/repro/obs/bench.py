@@ -23,7 +23,7 @@ import time
 from typing import Callable
 
 from repro.campaign.spec import Job
-from repro.campaign.worker import build_backend, simulate_job
+from repro.campaign.worker import build_backend, clear_prepared, simulate_job
 from repro.compression.e2mc import E2MCCompressor
 from repro.compression.stats import geometric_mean
 from repro.core.config import SLCConfig, SLCVariant
@@ -62,8 +62,11 @@ QUICK_DECODE_ROWS = 2048
 
 
 def _time_best(fn: Callable[[], object], repeats: int = 2) -> float:
+    """Best of ``repeats`` calls, each with an empty prepared-workload cache
+    (a timed job is one cold job, as in a fresh process)."""
     best = float("inf")
     for _ in range(repeats):
+        clear_prepared()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)

@@ -68,7 +68,9 @@ def _oracle_iqr(exact, approx):
     if scale <= 0.0:
         scale = max(abs(float(exact_arr.flat[0])), 1.0)
     normalized = np.abs(exact_arr - approx_arr) / scale
-    return float(normalized.mean()), float(normalized.max())
+    largest = float(normalized.max())
+    # the mean of equal errors is bounded by their max, not rounded above it
+    return min(float(normalized.mean()), largest), largest
 
 
 def _oracle_panel(exact, approx):
