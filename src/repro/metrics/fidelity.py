@@ -98,8 +98,10 @@ def _ks_sorted(exact_sorted: np.ndarray, approx_sorted: np.ndarray) -> float:
     The CDF distance is largest at one of the sample values, so both
     samples are probed, :data:`KS_PROBE_ROWS` values at a time; each
     probe's distance is ``|i/n - j/m|`` with ``i`` and ``j`` the counts of
-    values ``<=`` the probe in each sample.  A probe's count in its own
-    sample is read off the sorted order; only the other sample is searched.
+    values ``<=`` the probe in each sample.  Equal values share their
+    counts, so only the last of each run is probed: its own count is one
+    past its position (searched for the slice's final run, which may
+    continue past the slice), and only the other sample is searched.
     """
     n, m = exact_sorted.size, approx_sorted.size
     distance = 0.0
@@ -108,28 +110,14 @@ def _ks_sorted(exact_sorted: np.ndarray, approx_sorted: np.ndarray) -> float:
         (approx_sorted, exact_sorted, False),
     ):
         for start in range(0, sample.size, KS_PROBE_ROWS):
-            stop = min(start + KS_PROBE_ROWS, sample.size)
-            own = _counts_at_or_below(sample, start, stop)
-            cross = np.searchsorted(other, sample[start:stop], side="right")
+            probe = sample[start:start + KS_PROBE_ROWS]
+            run_last = np.append(np.flatnonzero(probe[1:] != probe[:-1]), probe.size - 1)
+            own = start + run_last + 1
+            own[-1] = np.searchsorted(sample, probe[-1], side="right")
+            cross = np.searchsorted(other, probe[run_last], side="right")
             i, j = (own, cross) if own_is_exact else (cross, own)
             distance = max(distance, float(np.abs(i / n - j / m).max()))
     return distance
-
-
-def _counts_at_or_below(sorted_values: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """``searchsorted(sorted_values, sorted_values[start:stop], side="right")``.
-
-    Within a sorted array, a value's count is one past the end of its run
-    of equal values: each run's last position is marked, and a reverse
-    running minimum carries it back over the run.  The run of the slice's
-    last value may continue past ``stop``, so that one count is searched.
-    """
-    probe = sorted_values[start:stop]
-    ends = np.full(stop - start, sorted_values.size, np.int64)
-    run_last = np.flatnonzero(probe[1:] != probe[:-1])
-    ends[run_last] = start + run_last + 1
-    ends[-1] = np.searchsorted(sorted_values, probe[-1], side="right")
-    return np.minimum.accumulate(ends[::-1])[::-1]
 
 
 def _iqr_scale(exact_arr: np.ndarray) -> float:

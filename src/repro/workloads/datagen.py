@@ -10,6 +10,8 @@ quantized sensor-style values.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 
@@ -108,13 +110,10 @@ def correlated_series(
     if not 0 <= correlation < 1:
         raise ValueError("correlation must lie in [0, 1)")
     noise = rng.normal(0.0, 1.0, size=length)
-    series = np.empty(length, dtype=np.float64)
-    series[0] = noise[0]
-    for index in range(1, length):
-        series[index] = correlation * series[index - 1] + np.sqrt(
-            1 - correlation**2
-        ) * noise[index]
-    return (series * scale + offset).astype(np.float32)
+    innovations = (np.sqrt(1 - correlation**2) * noise[1:]).tolist()
+    # Folded with a per-element loop's operands in its order: exact float64.
+    series = accumulate(innovations, lambda y, x: correlation * y + x, initial=float(noise[0]))
+    return (np.fromiter(series, np.float64, count=length) * scale + offset).astype(np.float32)
 
 
 def clustered_values(
@@ -139,13 +138,6 @@ def clustered_values(
     chosen = np.repeat(group_centers, runs)[:length]
     values = chosen * (1.0 + rng.normal(0.0, spread, size=length))
     return values.astype(np.float32)
-
-
-def quantized(array: np.ndarray, step: float) -> np.ndarray:
-    """Quantize values to multiples of ``step`` (adds repeated values)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return (np.round(np.asarray(array) / step) * step).astype(np.float32)
 
 
 def quantize_pow2(array: np.ndarray, fraction_bits: int) -> np.ndarray:
@@ -184,16 +176,18 @@ def quantize_varying(
         raise ValueError("min_fraction_bits must not exceed max_fraction_bits")
     if segment_elements <= 0:
         raise ValueError("segment_elements must be positive")
-    values = np.asarray(array, dtype=np.float64)
-    flat = values.reshape(-1).copy()
+    values = np.array(array, dtype=np.float64)  # one private copy, scaled in place
+    flat = values.reshape(-1)
     n_segments = -(-flat.size // segment_elements)
     bits = rng.integers(min_fraction_bits, max_fraction_bits + 1, size=n_segments)
-    for segment, fraction_bits in enumerate(bits):
-        start = segment * segment_elements
-        stop = min(flat.size, start + segment_elements)
-        step = 2.0 ** (-int(fraction_bits))
-        flat[start:stop] = np.round(flat[start:stop] / step) * step
-    return flat.reshape(values.shape).astype(np.float32)
+    exponents = np.repeat(bits.astype(np.int32), segment_elements)[: flat.size]
+    # Scaling by 2**bits is exact, so this is round(x / step) * step bit for
+    # bit, inf and NaN included, without a float64 array of steps.
+    np.ldexp(flat, exponents, out=flat)
+    np.round(flat, out=flat)
+    np.ldexp(flat, np.negative(exponents, out=exponents), out=flat)
+    del exponents
+    return values.astype(np.float32)
 
 
 def spatial_points(
@@ -210,9 +204,11 @@ def spatial_points(
     centers_lat = rng.uniform(*lat_range, size=num_clusters)
     centers_lng = rng.uniform(*lng_range, size=num_clusters)
     assignment = rng.integers(0, num_clusters, size=count)
-    lat = centers_lat[assignment] + rng.normal(0.0, cluster_spread, size=count)
-    lng = centers_lng[assignment] + rng.normal(0.0, cluster_spread, size=count)
-    return np.stack([lat, lng], axis=1).astype(np.float32)
+    points = np.empty((count, 2), dtype=np.float32)
+    for column, centers in enumerate((centers_lat, centers_lng)):
+        np.add(centers[assignment], rng.normal(0.0, cluster_spread, size=count),
+               out=points[:, column])
+    return points
 
 
 def clustered_triangles(

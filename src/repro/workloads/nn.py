@@ -20,14 +20,28 @@ def nearest_neighbors(
     records: np.ndarray, query: tuple[float, float], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and indices of the ``k`` records closest to ``query``."""
-    records = np.asarray(records, dtype=np.float64)
+    records = np.asarray(records)
     if records.ndim != 2 or records.shape[1] != 2:
         raise ValueError("records must have shape (n, 2)")
     if not 1 <= k <= records.shape[0]:
         raise ValueError("k must lie between 1 and the number of records")
-    deltas = records - np.asarray(query, dtype=np.float64)
-    distances = np.sqrt(np.sum(deltas**2, axis=1))
-    order = np.argsort(distances, kind="stable")[:k]
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (2,):
+        raise ValueError("query must have shape (2,)")
+    # Column by column, squared and summed in place: the values of
+    # sqrt(sum((records - query)**2, axis=1)) without (n, 2) temporaries.
+    distances = np.subtract(records[:, 0], query[0], dtype=np.float64)
+    other = np.subtract(records[:, 1], query[1], dtype=np.float64)
+    distances *= distances
+    distances += np.square(other, out=other)
+    del other
+    np.sqrt(distances, out=distances)
+    # Candidates come out in index order, so a stable sort of their distances
+    # breaks ties by index as a full stable sort does. With fewer than k
+    # non-NaN distances every record is a candidate, and NaNs sort last.
+    kth = np.partition(distances, k - 1)[k - 1]
+    candidates = np.flatnonzero((distances <= kth) | np.isnan(kth))
+    order = candidates[np.argsort(distances[candidates], kind="stable")[:k]]
     return distances[order].astype(np.float32), order.astype(np.int64)
 
 

@@ -154,6 +154,39 @@ def test_ks_unequal_lengths_matches_oracle(pair):
         )
 
 
+#: runs of equal values, 1 to 8 long: with 3-value slices, many runs cross
+#: a slice boundary and some span whole slices
+RUN_SAMPLES = st.lists(
+    st.tuples(TIE_VALUES, st.integers(1, 8)), min_size=1, max_size=12
+).map(lambda runs: np.sort(np.concatenate([np.full(n, value) for value, n in runs])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_sorted=RUN_SAMPLES, approx_sorted=RUN_SAMPLES)
+def test_ks_runs_across_slices_match_oracle(exact_sorted, approx_sorted):
+    with small_probe_slices():
+        assert fidelity._ks_sorted(exact_sorted, approx_sorted) == _oracle_ks_sorted(
+            exact_sorted, approx_sorted
+        )
+
+
+@pytest.mark.parametrize(
+    ("exact_sorted", "approx_sorted"),
+    [
+        (np.full(7, 2.0), np.full(7, 2.0)),
+        (np.full(7, 2.0), np.full(4, 2.0)),
+        (np.full(7, 2.0), np.full(5, -1.0)),
+        (np.full(1, 0.0), np.full(10, 0.0)),
+        (np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]), np.full(3, 2.0)),
+    ],
+    ids=["equal", "equal-unequal-lengths", "disjoint", "single", "run-on-boundary"],
+)
+def test_ks_all_equal_samples_match_oracle(exact_sorted, approx_sorted):
+    with small_probe_slices():
+        for pair in ((exact_sorted, approx_sorted), (approx_sorted, exact_sorted)):
+            assert fidelity._ks_sorted(*pair) == _oracle_ks_sorted(*pair)
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_ks_at_the_real_slice_boundary(offset):
     n = fidelity.KS_PROBE_ROWS + offset

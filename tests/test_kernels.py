@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.workloads.blackscholes import black_scholes
 from repro.workloads.dct import blockwise_dct, blockwise_idct, dct_basis
@@ -171,6 +173,63 @@ def test_nearest_neighbors_validation():
         nearest_neighbors(records, (0, 0), 0)
     with pytest.raises(ValueError):
         nearest_neighbors(np.zeros((10, 3)), (0, 0), 1)
+    with pytest.raises(ValueError, match="query"):
+        nearest_neighbors(records, 5.0, 1)
+    with pytest.raises(ValueError, match="query"):
+        nearest_neighbors(records, (0, 0, 0), 1)
+
+
+def _oracle_nearest_neighbors(records, query, k):
+    """The kernel as a full stable sort of all distances (NaNs last)."""
+    deltas = np.asarray(records, dtype=np.float64) - np.asarray(query, dtype=np.float64)
+    distances = np.sqrt(np.sum(deltas**2, axis=1))
+    order = np.argsort(distances, kind="stable")[:k]
+    return distances[order].astype(np.float32), order.astype(np.int64)
+
+
+def _assert_same_neighbors(records, query, k):
+    distances, indices = nearest_neighbors(records, query, k)
+    expected_distances, expected_indices = _oracle_nearest_neighbors(records, query, k)
+    assert distances.tobytes() == expected_distances.tobytes()
+    assert indices.dtype == expected_indices.dtype
+    assert indices.tobytes() == expected_indices.tobytes()
+
+
+#: coordinates on a coarse grid, so many records tie at every distance
+GRID_COORDS = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 60), st.just(2)),
+        elements=st.one_of(GRID_COORDS, st.floats(-3, 3, width=32)),
+    ),
+    query=st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, -1.0])),
+    data=st.data(),
+)
+def test_nearest_neighbors_matches_full_stable_sort(records, query, data):
+    k = data.draw(st.integers(1, records.shape[0]))
+    _assert_same_neighbors(records, query, k)
+
+
+@pytest.mark.parametrize(
+    "records, k",
+    [
+        # 40 records tie at the k-th distance
+        (np.tile([[1.0, 0.0], [0.0, 1.0]], (20, 1)), 10),
+        (np.tile([[1.0, 0.0], [0.0, 1.0]], (20, 1)), 40),
+        # inf rows are valid neighbours, sorted after every finite one
+        (np.array([[np.inf, 0.0], [1.0, 1.0], [-np.inf, 2.0], [0.5, 0.5]]), 4),
+        # NaN rows leave fewer than k non-NaN distances
+        (np.array([[np.nan, 0.0], [1.0, 1.0], [0.0, np.nan], [2.0, 2.0]]), 3),
+        (np.full((5, 2), np.nan), 2),
+    ],
+    ids=["ties", "k-equals-n", "inf-rows", "nan-rows", "all-nan"],
+)
+def test_nearest_neighbors_edge_cases_match_full_stable_sort(records, k):
+    _assert_same_neighbors(records.astype(np.float32), (0.0, 0.0), k)
 
 
 # --------------------------------------------------------------------- #
